@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Exit codes: 0 success (check/verify: verdict true), 1 negative verdict,
-2 oracle disagreement, 64 bad input, 65 oracle-scale refusal.
+2 oracle disagreement, 64 bad input, 65 oracle-scale refusal, 70 internal
+error (a failed self-check, or a crash such as RecursionError).
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import random
 import sys
 
 from .decomposition import PRIME, SERIES, decomposition_tree
-from .errors import DomainError, OracleScaleError, ParseError, TransorError
+from .errors import DomainError, OracleScaleError, ParseError
 from .forcing import color_classes, is_comparability
 from .graph import Graph
 from .io import parse_graph
@@ -221,16 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    add("colors", _cmd_colors, help="list color classes with spans").add_argument(
-        "--json", action="store_true", help="JSON output (the default)"
-    )
+    add("colors", _cmd_colors, help="list color classes with spans")
     p = add("decompose", _cmd_decompose, help="print the decomposition tree")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.add_argument("--seed", type=int, help="shuffle internal scan order (output must not change)")
-    add("multiplexes", _cmd_multiplexes, help="print the maximal multiplex partition").add_argument(
-        "--json", action="store_true", help="JSON output (the default)"
-    )
+    add("multiplexes", _cmd_multiplexes, help="print the maximal multiplex partition")
     p = add("check", _cmd_check, help="decide comparability (exit 0 yes, 1 no)")
     p.add_argument("--oracle", action="store_true", help="use the brute-force oracle")
     p = add("count", _cmd_count, help="count transitive orientations exactly")
@@ -260,8 +256,10 @@ def main(argv: list[str] | None = None) -> int:
         return 64
     except BrokenPipeError:
         return 0
-    except TransorError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # A failed self-check or a crash (RecursionError, MemoryError, a bug)
+        # must never exit 1, which reads as a negative verdict.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 70
 
 

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import DomainError, InvariantError
-from .graph import Graph, complement, connected_components, induced_subgraph
+from .graph import Graph, mask_components
 
 LEAF = "leaf"
 PARALLEL = "parallel"
@@ -50,14 +50,20 @@ class DecompositionNode:
     quotient: Graph | None
 
     def walk(self) -> Iterator["DecompositionNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def walk_with_paths(self, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], "DecompositionNode"]]:
-        yield path, self
-        for i, child in enumerate(self.children):
-            yield from child.walk_with_paths(path + (i,))
+        """Pre-order (path, node) pairs; a path lists child indices from this node."""
+        stack = [(path, self)]
+        while stack:
+            path, node = stack.pop()
+            yield path, node
+            for i in range(len(node.children) - 1, -1, -1):
+                stack.append((path + (i,), node.children[i]))
 
     def node_at(self, path: tuple[int, ...]) -> "DecompositionNode":
         node = self
@@ -71,11 +77,14 @@ class DecompositionNode:
         return [min(child.vertex_set) for child in self.children]
 
     def to_json_dict(self) -> dict:
-        return {
-            "vertices": [str(v) for v in sorted(self.vertex_set)],
-            "kind": self.kind,
-            "children": [c.to_json_dict() for c in self.children],
-        }
+        done: dict = {}
+        for node in reversed(list(self.walk())):  # every child before its parent
+            done[id(node)] = {
+                "vertices": [str(v) for v in sorted(node.vertex_set)],
+                "kind": node.kind,
+                "children": [done[id(c)] for c in node.children],
+            }
+        return done[id(self)]
 
 
 def is_module(g: Graph, sub: Iterable) -> bool:
@@ -86,35 +95,26 @@ def is_module(g: Graph, sub: Iterable) -> bool:
             raise DomainError(f"vertex {v!r} is not in the graph")
     if len(xs) <= 1 or len(xs) == g.vertex_count:
         return True
-    masks = g.adjacency_masks()
     x = g.mask_of(xs)
-    full = (1 << g.vertex_count) - 1
-    ext = full & ~x
-    while ext:
-        b = ext & -ext
-        t = masks[b.bit_length() - 1] & x
-        if t and t != x:
-            return False
-        ext ^= b
-    return True
+    return _close_seed(g.adjacency_masks(), (1 << g.vertex_count) - 1, x) == x
 
 
 def _close_seed(masks: list[int], full: int, x: int) -> int:
-    # Grow a vertex mask to the smallest module containing it.  Any external
-    # vertex adjacent to some but not all members must join; batching a whole
-    # round of such vertices keeps the result independent of scan order.
-    while True:
-        added = 0
-        ext = full & ~x
-        while ext:
-            b = ext & -ext
-            t = masks[b.bit_length() - 1] & x
-            if t and t != x:
-                added |= b
-            ext ^= b
-        if not added:
-            return x
-        x |= added
+    # Grow a vertex mask to the smallest module within ``full`` containing
+    # it.  Any outside vertex adjacent to some but not all members must join;
+    # ``some`` and ``every`` (the vertices adjacent to some, resp. every,
+    # member) are folded in only for members that just joined.
+    some, every, new = 0, -1, x
+    while new:
+        while new:
+            b = new & -new
+            m = masks[b.bit_length() - 1]
+            some |= m
+            every &= m
+            new ^= b
+        new = some & ~every & full & ~x
+        x |= new
+    return x
 
 
 def smallest_module(g: Graph, seed: Iterable) -> frozenset:
@@ -127,6 +127,53 @@ def smallest_module(g: Graph, seed: Iterable) -> frozenset:
             raise DomainError(f"vertex {v!r} is not in the graph")
     full = (1 << g.vertex_count) - 1
     return g.unmask(_close_seed(g.adjacency_masks(), full, g.mask_of(xs)))
+
+
+def _prime_parts(masks: list[int], x: int, shuffle: random.Random | None) -> list[int]:
+    # Close every vertex pair of x to its smallest module, merge overlapping
+    # proper ones, and fill the rest with singletons.
+    pairs = list(combinations([v for v in range(x.bit_length()) if x >> v & 1], 2))
+    if shuffle is not None:
+        shuffle.shuffle(pairs)
+    family: list[int] = []
+    for i, j in pairs:
+        seed = (1 << i) | (1 << j)
+        if family and any(seed & ~m == 0 for m in family):
+            continue
+        cand = _close_seed(masks, x, seed)
+        if cand == x:
+            continue
+        for hit in [m for m in family if m & cand]:
+            cand |= hit
+            family.remove(hit)
+        if cand == x:
+            raise InvariantError("overlapping proper modules merged to the whole vertex set")
+        family.append(cand)
+    rest = x & ~sum(family)  # the members are disjoint: their sum is their union
+    family.extend(1 << v for v in range(rest.bit_length()) if rest >> v & 1)
+    family.sort(key=lambda m: m & -m)
+    return family
+
+
+def _strong_parts(masks: list[int], x: int, shuffle: random.Random | None) -> list[int]:
+    # The maximal strong modules of the subgraph induced on x (two or more
+    # vertices), as masks by lowest vertex, checked to be modules (their own
+    # closures), pairwise disjoint and covering x.
+    parts = mask_components(masks, x)
+    if len(parts) == 1:
+        parts = mask_components(masks, x, co=True)
+    if len(parts) == 1:
+        parts = _prime_parts(masks, x, shuffle)
+    covered = 0
+    for p in parts:
+        if p & covered:
+            raise InvariantError("strong parts overlap")
+        covered |= p
+        if p & (p - 1) and _close_seed(masks, x, p) != p:
+            raise InvariantError("strong part is not a module")
+    if covered != x:
+        raise InvariantError("strong parts do not cover the node")
+    return parts
 
 
 def maximal_strong_partition(g: Graph, *, shuffle: random.Random | None = None) -> StrongPartition:
@@ -142,47 +189,8 @@ def maximal_strong_partition(g: Graph, *, shuffle: random.Random | None = None) 
     n = g.vertex_count
     if n < 2:
         raise DomainError("partition needs at least two vertices")
-    comps = connected_components(g)
-    if len(comps) > 1:
-        return StrongPartition(tuple(comps))
-    co = connected_components(complement(g))
-    if len(co) > 1:
-        return StrongPartition(tuple(sorted(co, key=lambda c: g.index[min(c)])))
-    masks = g.adjacency_masks()
-    full = (1 << n) - 1
-    pairs = list(combinations(range(n), 2))
-    if shuffle is not None:
-        shuffle.shuffle(pairs)
-    family: list[int] = []
-    for i, j in pairs:
-        seed = (1 << i) | (1 << j)
-        if any(seed & ~m == 0 for m in family):
-            continue
-        cand = _close_seed(masks, full, seed)
-        if cand == full:
-            continue
-        while True:
-            hit = next((m for m in family if m & cand), None)
-            if hit is None:
-                break
-            cand |= hit
-            family.remove(hit)
-        if cand == full:
-            raise InvariantError(
-                "overlapping proper modules merged to the whole vertex set"
-            )
-        family.append(cand)
-    covered = 0
-    for m in family:
-        covered |= m
-    parts = [g.unmask(m) for m in family]
-    rest = full & ~covered
-    while rest:
-        b = rest & -rest
-        parts.append(frozenset((g.vertices[b.bit_length() - 1],)))
-        rest ^= b
-    parts.sort(key=lambda p: g.index[min(p)])
-    return StrongPartition(tuple(parts))
+    parts = _strong_parts(g.adjacency_masks(), (1 << n) - 1, shuffle)
+    return StrongPartition(tuple(g.unmask(p) for p in parts))
 
 
 def quotient(g: Graph, partition) -> Graph:
@@ -209,25 +217,72 @@ def quotient(g: Graph, partition) -> Graph:
 
 
 def decomposition_tree(g: Graph, *, shuffle: random.Random | None = None) -> DecompositionNode:
-    """Recursive decomposition into strong modules, deterministic child order."""
-    if g.vertex_count == 0:
+    """Decomposition into strong modules, deterministic child order.
+
+    Splits vertex masks of the host graph in pre-order on an explicit stack,
+    then assembles bottom-up: no recursion and no graph copy per level."""
+    n = g.vertex_count
+    if n == 0:
         raise DomainError("cannot decompose an empty vertex set")
-    if g.vertex_count == 1:
-        return DecompositionNode(frozenset(g.vertices), LEAF, (), None)
-    partition = maximal_strong_partition(g, shuffle=shuffle)
-    q = quotient(g, partition)
-    k = len(partition)
-    if q.edge_count == 0:
-        kind = PARALLEL
-    elif q.edge_count == k * (k - 1) // 2:
-        kind = SERIES
-    else:
-        kind = PRIME
-    children = tuple(
-        decomposition_tree(induced_subgraph(g, part), shuffle=shuffle)
-        for part in partition
-    )
-    return DecompositionNode(frozenset(g.vertices), kind, children, q)
+    masks = g.adjacency_masks()
+    vs = g.vertices
+    splits = []
+    stack = [(1 << n) - 1]
+    while stack:
+        x = stack.pop()
+        parts = _strong_parts(masks, x, shuffle) if x & (x - 1) else []
+        splits.append((x, parts))
+        stack.extend(reversed(parts))
+    built: dict[int, DecompositionNode] = {}
+    for x, parts in reversed(splits):
+        if not parts:
+            built[x] = DecompositionNode(frozenset((vs[x.bit_length() - 1],)), LEAF, (), None)
+            continue
+        children = tuple(built.pop(p) for p in parts)
+        reps = [(p & -p).bit_length() - 1 for p in parts]
+        q = Graph([vs[r] for r in reps], [(vs[a], vs[b]) for a, b in combinations(reps, 2) if masks[a] >> b & 1])
+        k, m = len(parts), q.edge_count
+        kind = PARALLEL if m == 0 else SERIES if m == k * (k - 1) // 2 else PRIME
+        vertex_set = frozenset().union(*(c.vertex_set for c in children))
+        built[x] = DecompositionNode(vertex_set, kind, children, q)
+    return built[x]  # the root: split first, assembled last
+
+
+def _charge_edges(g: Graph, tree: DecompositionNode) -> list[tuple]:
+    """Charge every edge to the one node whose children separate its ends.
+
+    ``(path, node, blocks)`` per series and prime node in pre-order; ``blocks``
+    maps child pairs ``(i, j)``, ``i < j``, that the quotient joins to their
+    edges ``(u, v)``, ``u`` in child ``i``.  The charges must partition E."""
+    if tree.vertex_set != frozenset(g.vertices):
+        raise InvariantError("edge endpoint missing from the tree")
+    index = g.index
+    edges = g.edges
+    charged = 0
+    out = []
+    for path, node in tree.walk_with_paths():
+        q = node.quotient
+        if node.kind not in (SERIES, PRIME):
+            if q and q.edge_count:
+                raise InvariantError(f"{node.kind} node received crossing edges")
+            continue
+        pos = q.index
+        blocks = {}
+        for i, j in sorted((pos[a], pos[b]) for a, b in q.edges):
+            block = []
+            for u in node.children[i].vertex_set:
+                for v in node.children[j].vertex_set:
+                    if ((u, v) if index[u] < index[v] else (v, u)) not in edges:
+                        raise InvariantError("a quotient edge lifts to a non-edge")
+                    block.append((u, v))
+            blocks[(i, j)] = block
+            charged += len(block)
+        if not blocks:
+            raise InvariantError(f"{node.kind} node received no crossing edges")
+        out.append((path, node, blocks))
+    if charged != g.edge_count:
+        raise InvariantError("charged edges do not cover E")
+    return out
 
 
 def is_strong_module(g: Graph, sub: Iterable) -> bool:

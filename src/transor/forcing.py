@@ -163,17 +163,11 @@ def is_comparability(g: Graph) -> bool:
     and verified transitive; a failure there is an internal invariant error,
     never a return value.
     """
-    cmap = color_classes(g)
-    verdict = not any(c.self_inverse for c in cmap.colors)
-    if verdict and g.vertex_count:
-        from .decomposition import decomposition_tree
-        from .orientation import default_choices, is_transitive, materialize
+    if g.vertex_count == 0:
+        return True
+    from .orientation import _analyze
 
-        tree = decomposition_tree(g)
-        witness = materialize(g, tree, default_choices(tree))
-        if not is_transitive(g, witness):
-            raise InvariantError("constructed orientation failed the transitivity check")
-    return verdict
+    return _analyze(g) is not None
 
 
 @dataclass(frozen=True)

@@ -151,25 +151,28 @@ def complement(g: Graph) -> Graph:
     return Graph(vs, edges)
 
 
+def mask_components(masks: list[int], x: int, co: bool = False) -> list[int]:
+    """Components (with ``co``: co-components) of the subgraph induced on the
+    vertex mask ``x``, given ``Graph.adjacency_masks``; as masks by lowest vertex."""
+    flip = -1 if co else 0
+    comps = []
+    while x:  # x keeps the vertices not yet reached
+        comp = frontier = x & -x
+        x ^= comp
+        while frontier:
+            b = frontier & -frontier
+            new = (masks[b.bit_length() - 1] ^ flip) & x
+            x ^= new
+            comp |= new
+            frontier = (frontier ^ b) | new
+        comps.append(comp)
+    return comps
+
+
 def connected_components(g: Graph) -> list[frozenset]:
     """Maximal connected vertex sets, ordered by their smallest member."""
-    seen: set = set()
-    comps = []
-    for v in g.vertices:
-        if v in seen:
-            continue
-        stack = [v]
-        comp = {v}
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y not in comp:
-                    comp.add(y)
-                    seen.add(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
-    return comps
+    full = (1 << g.vertex_count) - 1
+    return [g.unmask(c) for c in mask_components(g.adjacency_masks(), full)]
 
 
 def spanned_vertices(edge_set: Iterable) -> frozenset:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import DecompositionNode, PRIME, SERIES, is_strong_module
-from .errors import DomainError, InvariantError
+from .decomposition import DecompositionNode, SERIES, _charge_edges, is_strong_module
+from .errors import DomainError
 from .forcing import ColorMap, color_classes
 from .graph import Graph
 
@@ -50,49 +50,20 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
     """
     if cmap is None:
         cmap = color_classes(g)
-    node_edges: dict[tuple[int, ...], list] = {}
-    for u, v in g.sorted_edges():
-        node = tree
-        path: tuple[int, ...] = ()
-        while True:
-            iu = iv = -1
-            for i, child in enumerate(node.children):
-                if u in child.vertex_set:
-                    iu = i
-                if v in child.vertex_set:
-                    iv = i
-            if iu < 0 or iv < 0:
-                raise InvariantError("edge endpoint missing from the tree")
-            if iu != iv:
-                node_edges.setdefault(path, []).append((u, v))
-                break
-            node = node.children[iu]
-            path = path + (iu,)
     result = []
-    assigned = 0
-    for path, node in tree.walk_with_paths():
-        edges = node_edges.get(path)
-        if node.kind not in (SERIES, PRIME):
-            if edges:
-                raise InvariantError(f"{node.kind} node received crossing edges")
-            continue
-        if not edges:
-            raise InvariantError(f"{node.kind} node received no crossing edges")
-        assigned += len(edges)
-        colors = frozenset(cmap.color_of(u, v) for u, v in edges)
+    for path, node, blocks in _charge_edges(g, tree):
+        edges = frozenset(g.edge_key(u, v) for block in blocks.values() for u, v in block)
         rank = len(node.children) - 1 if node.kind == SERIES else 1
         result.append(
             Multiplex(
                 span=node.vertex_set,
-                colors=colors,
-                edges=frozenset(g.edge_key(u, v) for u, v in edges),
+                colors=frozenset(cmap.color_of(e) for e in edges),
+                edges=edges,
                 rank=rank,
                 node=node,
                 node_path=path,
             )
         )
-    if assigned != g.edge_count:
-        raise InvariantError("multiplex edge sets do not cover E")
     return result
 
 

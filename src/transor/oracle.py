@@ -12,8 +12,6 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterator
 
-import numpy as np
-
 from .errors import DomainError, OracleScaleError
 from .graph import Graph
 from .orientation import Orientation
@@ -68,6 +66,8 @@ def brute_force_orientations(g: Graph) -> list[Orientation]:
     (every edge tail's successor set contains its head's) runs bit-parallel
     over numpy chunks.  Refuses more than 20 edges.
     """
+    import numpy as np  # only the oracle needs numpy; keep it out of CLI start-up
+
     m = g.edge_count
     if m > MAX_ORACLE_EDGES:
         raise OracleScaleError(f"orientation scan limited to {MAX_ORACLE_EDGES} edges, got {m}")

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
-from math import factorial
+from itertools import islice, permutations
+from math import factorial, prod
 from typing import Iterable, Iterator
 
-from .decomposition import DecompositionNode, PRIME, SERIES, decomposition_tree
+from .decomposition import DecompositionNode, PRIME, SERIES, _charge_edges, decomposition_tree
 from .errors import DomainError, InvariantError, OracleScaleError
-from .forcing import color_classes, is_comparability
+from .forcing import ColorMap, color_classes
 from .graph import Graph
 
 
@@ -99,49 +99,28 @@ def is_transitive(g: Graph, o: Orientation) -> bool:
 
 
 class _LiftPlan:
-    """Per-node cross-edge blocks, precomputed once per tree for fast lifting."""
+    """Per-node cross-edge blocks, precomputed once per tree for fast lifting.
+
+    A prime node's crossing edges are one host color; on the representatives,
+    its forward half is the canonical half of the quotient's single color."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, g: Graph, tree: DecompositionNode):
-        blocks: dict[tuple[int, ...], dict[tuple[int, int], list]] = {}
-        for u, v in g.sorted_edges():
-            node = tree
-            path: tuple[int, ...] = ()
-            while True:
-                iu = iv = -1
-                for i, child in enumerate(node.children):
-                    if u in child.vertex_set:
-                        iu = i
-                    if v in child.vertex_set:
-                        iv = i
-                if iu != iv:
-                    pair = (iu, iv) if iu < iv else (iv, iu)
-                    e = (u, v) if iu < iv else (v, u)
-                    blocks.setdefault(path, {}).setdefault(pair, []).append(e)
-                    break
-                node = node.children[iu]
-                path = path + (iu,)
-        # entries: path -> (kind, child count, block list, prime color halves)
+    def __init__(self, g: Graph, tree: DecompositionNode, cmap: ColorMap):
+        # entries: path -> (kind, child count, block map, prime edge directions)
         self.entries: dict[tuple[int, ...], tuple] = {}
-        for path, node in tree.walk_with_paths():
-            if node.kind not in (SERIES, PRIME):
-                continue
-            pair_blocks = blocks.get(path, {})
-            if node.kind == SERIES:
-                self.entries[path] = (SERIES, len(node.children), pair_blocks, None)
-            else:
-                qmap = color_classes(node.quotient)
-                if len(qmap.colors) != 1:
+        for path, node, blocks in _charge_edges(g, tree):
+            dirs = None
+            if node.kind == PRIME:
+                reps = node.quotient.vertices
+                ids = {cmap.color_of(reps[i], reps[j]) for i, j in blocks}
+                if len(ids) != 1:
                     raise InvariantError("prime quotient does not have a single color")
-                color = qmap.colors[0]
+                color = cmap.colors[ids.pop()]
                 if color.self_inverse:
                     raise DomainError("prime quotient is not transitively orientable")
-                reps = [min(child.vertex_set) for child in node.children]
-                dirs = {}
-                for (i, j), _ in pair_blocks.items():
-                    dirs[(i, j)] = (reps[i], reps[j]) in color.forward
-                self.entries[path] = (PRIME, len(node.children), pair_blocks, dirs)
+                dirs = {(i, j): (reps[i], reps[j]) in color.forward for i, j in blocks}
+            self.entries[path] = (node.kind, len(node.children), blocks, dirs)
 
     def apply(self, choices: Iterable[NodeChoice]) -> Orientation:
         chosen = {c.path: c for c in choices}
@@ -195,31 +174,54 @@ def materialize(g: Graph, tree: DecompositionNode, choices: Iterable[NodeChoice]
     permutation; prime blocks copy the direction their quotient edge takes in
     the chosen half of the quotient's color class.
     """
-    return _LiftPlan(g, tree).apply(choices)
+    return _LiftPlan(g, tree, color_classes(g)).apply(choices)
+
+
+def _analyze(g: Graph, shuffle: random.Random | None = None) -> _LiftPlan | None:
+    """The one analysis behind the verdict, the count and the enumeration:
+    None when a color class meets its reverse, else the lift plan of one tree,
+    whose first orientation is verified transitive.  Needs a vertex."""
+    cmap = color_classes(g)
+    if any(c.self_inverse for c in cmap.colors):
+        return None
+    tree = decomposition_tree(g, shuffle=shuffle)
+    plan = _LiftPlan(g, tree, cmap)
+    if not is_transitive(g, plan.apply(next(_choice_product(plan)))):
+        raise InvariantError("constructed orientation failed the transitivity check")
+    return plan
 
 
 def count_orientations(g: Graph) -> int:
     """Exact number of transitive orientations, as an arbitrary-precision int."""
     if g.vertex_count == 0:
         return 1
-    if not is_comparability(g):
+    plan = _analyze(g)
+    if plan is None:
         return 0
-    tree = decomposition_tree(g)
-    total = 1
-    for node in tree.walk():
-        if node.kind == SERIES:
-            total *= factorial(len(node.children))
-        elif node.kind == PRIME:
-            total *= 2
-    return total
+    return prod(factorial(k) if kind == SERIES else 2 for kind, k, _, _ in plan.entries.values())
 
 
-def _choice_space(tree: DecompositionNode) -> list[tuple[tuple[int, ...], str, int]]:
-    return [
-        (path, node.kind, len(node.children))
-        for path, node in tree.walk_with_paths()
-        if node.kind in (SERIES, PRIME)
-    ]
+def _choice_product(plan: _LiftPlan) -> Iterator[tuple[NodeChoice, ...]]:
+    # Odometer over the per-node options: the first node is the most
+    # significant digit, and an exhausted digit restarts its options.
+    def options(path, kind, k) -> Iterator[NodeChoice]:
+        if kind == SERIES:
+            return (NodeChoice(path, permutation=perm) for perm in permutations(range(k)))
+        return (NodeChoice(path, use_reverse=flag) for flag in (False, True))
+
+    space = [(path, kind, k) for path, (kind, k, _, _) in plan.entries.items()]
+    digits = [options(*node) for node in space]
+    combo = [next(d) for d in digits]
+    while True:
+        yield tuple(combo)
+        for i in range(len(digits) - 1, -1, -1):
+            combo[i] = next(digits[i], None)
+            if combo[i] is not None:
+                break
+            digits[i] = options(*space[i])
+            combo[i] = next(digits[i])
+        else:
+            return
 
 
 def enumerate_orientations(
@@ -241,33 +243,10 @@ def enumerate_orientations(
     if g.vertex_count == 0:
         yield Orientation(frozenset())
         return
-    if not is_comparability(g):
+    plan = _analyze(g, shuffle)
+    if plan is None:
         return
-    tree = decomposition_tree(g, shuffle=shuffle)
-    plan = _LiftPlan(g, tree)
-    space = _choice_space(tree)
-
-    def combos(i: int) -> Iterator[tuple[NodeChoice, ...]]:
-        if i == len(space):
-            yield ()
-            return
-        path, kind, k = space[i]
-        if kind == SERIES:
-            options: Iterable[NodeChoice] = (
-                NodeChoice(path, permutation=perm) for perm in permutations(range(k))
-            )
-        else:
-            options = (NodeChoice(path, use_reverse=flag) for flag in (False, True))
-        for head in options:
-            for tail in combos(i + 1):
-                yield (head,) + tail
-
-    emitted = 0
-    for combo in combos(0):
-        yield plan.apply(combo)
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            return
+    yield from islice(map(plan.apply, _choice_product(plan)), limit)
 
 
 def strong_modules_of_order(g: Graph, o: Orientation) -> set[frozenset]:

@@ -216,3 +216,29 @@ def test_stdin_and_console_script():
     )
     assert proc.returncode == 0
     assert proc.stdout == "4\n"
+
+
+def test_crash_exits_70_not_a_verdict(write):
+    # The JSON encoder recurses once per nesting level, and a threshold graph's
+    # tree nests 2 levels per vertex; under a low recursion limit printing it
+    # crashes, which must exit 70 with one line on stderr, never 1 ("false").
+    edges = "".join(f"{j} {i}\n" for i in range(1, 120, 2) for j in range(i))
+    path = write("threshold.edges", edges)
+    script = (
+        "import sys; from transor.cli import main; sys.setrecursionlimit(100);"
+        " sys.exit(main(['decompose', sys.argv[1]]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, path], capture_output=True, text=True)
+    assert proc.returncode == 70
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error: RecursionError")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_cli_start_up_does_not_import_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, transor.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout == "False\n"

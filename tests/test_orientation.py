@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from itertools import islice
 from math import factorial
 
@@ -232,3 +233,35 @@ def test_strong_module_preservation_on_small_corpus(small_bundles):
     for b in small_bundles:
         checks.check_orientation_strong_modules(b)
         checks.check_directed_modules_contained(b)
+
+
+def test_deep_tree_needs_no_recursion():
+    # A threshold graph (vertex i dominates 0..i-1 when i is odd) has a
+    # chain-shaped tree of depth n - 1 with n // 2 two-child series nodes.
+    n = 200
+    g = Graph(range(n), [(j, i) for i in range(1, n, 2) for j in range(i)])
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        tree = decomposition_tree(g)
+        nodes = list(tree.walk())
+        paths = [path for path, _ in tree.walk_with_paths()]
+        data = tree.to_json_dict()
+        count = count_orientations(g)
+        first = next(iter(enumerate_orientations(g)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(nodes) == 2 * n - 1
+    assert max(map(len, paths)) == n - 1
+    levels = 0
+    while data["children"]:
+        data = data["children"][0]
+        levels += 1
+    assert levels == n - 1
+    assert count == 2 ** (n // 2)
+    assert is_transitive(g, first)
