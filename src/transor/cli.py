@@ -53,6 +53,26 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _tree_to_json(tree) -> str:
+    # ``_dump(tree.to_json_dict())`` byte for byte, but json.dumps recurses
+    # once per nesting level; a stack of nodes and literal pieces does not.
+    out = []
+    stack: list = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        vertices = _dump([str(v) for v in sorted(item.vertex_set)])
+        out.append(f'{{"vertices":{vertices},"kind":{_dump(item.kind)},"children":[')
+        stack.append("]}")
+        for i in range(len(item.children) - 1, -1, -1):
+            stack.append(item.children[i])
+            if i:
+                stack.append(",")
+    return "".join(out)
+
+
 def _tree_to_dot(tree) -> str:
     lines = ["digraph decomposition {", "  node [shape=box];"]
     names = {}
@@ -96,7 +116,7 @@ def _cmd_decompose(args) -> int:
     if args.dot:
         print(_tree_to_dot(tree))
     else:
-        print(_dump(tree.to_json_dict()))
+        print(_tree_to_json(tree))
     return 0
 
 

@@ -35,19 +35,56 @@ class StrongPartition:
         return len(self.parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DecompositionNode:
     """One node of the decomposition tree: a strong module and its split.
 
     ``children`` partition ``vertex_set`` and are ordered by smallest vertex;
     ``quotient`` is the graph induced on one representative per child (the
-    smallest vertex of each), present on internal nodes only.
+    smallest vertex of each), present on internal nodes only.  Equality,
+    hashing and ``repr`` walk the tree on a stack, so any depth works.
     """
 
     vertex_set: frozenset
     kind: str
     children: tuple["DecompositionNode", ...]
     quotient: Graph | None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DecompositionNode):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (a.vertex_set, a.kind, a.quotient, len(a.children)) != (
+                b.vertex_set, b.kind, b.quotient, len(b.children)
+            ):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_set, self.kind))  # equal nodes agree on both
+
+    def __repr__(self) -> str:
+        # The dataclass-generated format, written out from a stack of nodes
+        # and literal pieces instead of one nested call per level.
+        out = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(f"DecompositionNode(vertex_set={item.vertex_set!r}, kind={item.kind!r}, children=(")
+            stack.append(("," if len(item.children) == 1 else "") + f"), quotient={item.quotient!r})")
+            for i in range(len(item.children) - 1, -1, -1):
+                stack.append(item.children[i])
+                if i:
+                    stack.append(", ")
+        return "".join(out)
 
     def walk(self) -> Iterator["DecompositionNode"]:
         stack = [self]
@@ -99,11 +136,12 @@ def is_module(g: Graph, sub: Iterable) -> bool:
     return _close_seed(g.adjacency_masks(), (1 << g.vertex_count) - 1, x) == x
 
 
-def _close_seed(masks: list[int], full: int, x: int) -> int:
+def _close_seed(masks: list[int], full: int, x: int, stop: int = 0) -> int:
     # Grow a vertex mask to the smallest module within ``full`` containing
     # it.  Any outside vertex adjacent to some but not all members must join;
     # ``some`` and ``every`` (the vertices adjacent to some, resp. every,
-    # member) are folded in only for members that just joined.
+    # member) are folded in only for members that just joined.  Once a vertex
+    # of ``stop`` joins, the caller knows the closure is ``full``: return it.
     some, every, new = 0, -1, x
     while new:
         while new:
@@ -113,6 +151,8 @@ def _close_seed(masks: list[int], full: int, x: int) -> int:
             every &= m
             new ^= b
         new = some & ~every & full & ~x
+        if new & stop:
+            return full
         x |= new
     return x
 
@@ -130,27 +170,53 @@ def smallest_module(g: Graph, seed: Iterable) -> frozenset:
 
 
 def _prime_parts(masks: list[int], x: int, shuffle: random.Random | None) -> list[int]:
-    # Close every vertex pair of x to its smallest module, merge overlapping
-    # proper ones, and fill the rest with singletons.
-    pairs = list(combinations([v for v in range(x.bit_length()) if x >> v & 1], 2))
-    if shuffle is not None:
-        shuffle.shuffle(pairs)
-    family: list[int] = []
-    for i, j in pairs:
-        seed = (1 << i) | (1 << j)
-        if family and any(seed & ~m == 0 for m in family):
-            continue
-        cand = _close_seed(masks, x, seed)
-        if cand == x:
-            continue
-        for hit in [m for m in family if m & cand]:
-            cand |= hit
-            family.remove(hit)
-        if cand == x:
-            raise InvariantError("overlapping proper modules merged to the whole vertex set")
-        family.append(cand)
-    rest = x & ~sum(family)  # the members are disjoint: their sum is their union
-    family.extend(1 << v for v in range(rest.bit_length()) if rest >> v & 1)
+    # x induces a connected, co-connected subgraph.  Refine {v}, x - v until
+    # every part is a module of G[x]; the parts are then P(G[x], v), the
+    # maximal modules not containing v (Ehrenfeucht, Gabow, McConnell &
+    # Sullivan 1994; Habib, Paul & Viennot 1999).  When a part splits in two,
+    # each half's vertices must still split the parts inside the other half.
+    # Every proper module lies inside one child, so the child M_v holding v
+    # is v plus the parts that close with v to less than x, and every other
+    # part is a child of its own; a closure that reaches such a part is x.
+    # About k^2 mask steps for k = |x|.
+    if shuffle is None:
+        vb = x & -x
+    else:
+        vb = 1 << shuffle.choice([u for u in range(x.bit_length()) if x >> u & 1])
+    parts = {x ^ vb}
+    tasks = [(vb, x ^ vb)]  # each vertex of the first mask splits the parts inside the second
+    while tasks:
+        pivots, target = tasks.pop(-1 if shuffle is None else shuffle.randrange(len(tasks)))
+        inside = [p for p in parts if p & target and p & (p - 1)]  # singletons never split
+        while pivots and inside:
+            b = pivots & -pivots
+            pivots ^= b
+            seen = masks[b.bit_length() - 1] & target
+            if not seen or seen == target:
+                continue
+            kept = []
+            for p in inside:
+                a = p & seen
+                if a and a != p:
+                    parts.remove(p)
+                    parts.update((a, p ^ a))
+                    tasks += [(a, p ^ a), (p ^ a, a)]
+                    kept += (a, p ^ a)
+                else:
+                    kept.append(p)
+            inside = kept
+    mv, out = vb, 0
+    for p in parts:
+        if not p & mv:
+            closed = _close_seed(masks, x, vb | (p & -p), out)
+            if closed == x:
+                out |= p
+                continue
+            mv |= closed
+        mv |= p
+    if mv == x:
+        raise InvariantError("the strong module holding the pivot is the whole node")
+    family = [mv] + [p for p in parts if not p & mv]
     family.sort(key=lambda m: m & -m)
     return family
 
@@ -181,10 +247,11 @@ def maximal_strong_partition(g: Graph, *, shuffle: random.Random | None = None) 
 
     Three exclusive cases: a disconnected graph splits into its connected
     components; a graph with disconnected complement splits into the
-    co-components; otherwise the proper modules closed from vertex pairs are
-    merged while any two of them overlap, and the merged sets (plus leftover
-    singletons) are the partition.  ``shuffle`` only perturbs internal scan
-    order; the result is order-independent and tests rely on that.
+    co-components; otherwise vertex-partition refinement from one vertex v
+    yields the maximal modules not containing v, and those that close with v
+    to a proper module merge with v into one part, the rest being parts as
+    they are.  ``shuffle`` picks v and the pivot order; the result is
+    order-independent and tests rely on that.
     """
     n = g.vertex_count
     if n < 2:

@@ -12,14 +12,15 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterator
 
-from .errors import DomainError, OracleScaleError
-from .graph import Graph
+from .errors import DomainError, InvariantError, OracleScaleError
+from .graph import Graph, complement, connected_components
 from .orientation import Orientation
 
 _MASK64 = (1 << 64) - 1
 
 MAX_ORACLE_EDGES = 20
 MAX_ORACLE_VERTICES = 12
+MAX_CLOSURE_VERTICES = 60
 
 
 def splitmix64(seed: int) -> Iterator[int]:
@@ -140,6 +141,54 @@ def brute_force_strong_modules(g: Graph) -> set[frozenset]:
         for x in found
         if not any((x & y) and (x & ~y) and (y & ~x) for y in found)
     }
+
+
+def closure_strong_partition(g: Graph) -> set[frozenset]:
+    """The maximal strong modules other than V, from the textbook cases.
+
+    A disconnected graph splits into its components, one with a disconnected
+    complement into its co-components.  Otherwise every vertex pair is grown
+    to its smallest module, proper ones that overlap are merged, and the
+    vertices left over are singletons.  Some O(n^4) mask steps, so it
+    refuses more than 60 vertices: a reference past the subset scan's 12.
+    """
+    n = g.vertex_count
+    if n > MAX_CLOSURE_VERTICES:
+        raise OracleScaleError(f"pair-closure partition limited to {MAX_CLOSURE_VERTICES} vertices, got {n}")
+    if n < 2:
+        raise DomainError("partition needs at least two vertices")
+    for parts in (connected_components(g), connected_components(complement(g))):
+        if len(parts) > 1:
+            return set(parts)
+    masks = g.adjacency_masks()
+    full = (1 << n) - 1
+    family: list[int] = []
+    for i, j in combinations(range(n), 2):
+        x = (1 << i) | (1 << j)
+        if any(x & ~m == 0 for m in family):
+            continue
+        while True:  # add every outside vertex that sees some but not all of x
+            some, every, rest = 0, full, x
+            while rest:
+                b = rest & -rest
+                m = masks[b.bit_length() - 1]
+                some |= m
+                every &= m
+                rest ^= b
+            split = some & ~every & ~x
+            if not split:
+                break
+            x |= split
+        if x == full:
+            continue
+        for hit in [m for m in family if m & x]:
+            x |= hit
+            family.remove(hit)
+        if x == full:
+            raise InvariantError("overlapping proper modules merged to the whole vertex set")
+        family.append(x)
+    covered = sum(family)  # the members are disjoint: their sum is their union
+    return {g.unmask(m) for m in family} | {frozenset((v,)) for v in g.unmask(full & ~covered)}
 
 
 # ---------------------------------------------------------------------------

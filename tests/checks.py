@@ -7,6 +7,7 @@ available within the brute-force guards; checks skip quietly outside them.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
 
@@ -38,9 +39,31 @@ from transor.oracle import (
     brute_force_modules,
     brute_force_orientations,
     brute_force_strong_modules,
+    splitmix64,
 )
 
 PARTITION_CAP = 1500  # deterministic cap on module partitions per graph
+
+
+def threshold_graph(n: int) -> Graph:
+    # Vertex i > 0 arrives dominating when odd, isolated when even: the
+    # strong-module tree is a chain of depth n - 1.
+    return Graph(range(n), [(j, i) for i in range(1, n, 2) for j in range(i)])
+
+
+def random_poset_graph(n: int, p: Fraction, seed: int) -> Graph:
+    # Comparability graph of the transitive closure of a splitmix64 DAG.
+    cut = (p.numerator << 64) // p.denominator
+    draws = splitmix64(seed)
+    succ = [0] * n
+    for i, j in combinations(range(n), 2):
+        if next(draws) < cut:
+            succ[i] |= 1 << j
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if succ[i] >> j & 1:
+                succ[i] |= succ[j]
+    return Graph(range(n), [(i, j) for i, j in combinations(range(n), 2) if succ[i] >> j & 1])
 
 
 class Bundle:

@@ -6,7 +6,11 @@ import sys
 
 import pytest
 
+from transor import decomposition_tree
 from transor.cli import main
+from transor.io import parse_graph
+
+from checks import threshold_graph
 
 PAW = "a b\na c\na d\nb c\n"
 C5 = "a b\nb c\nc d\nd e\ne a\n"
@@ -219,20 +223,36 @@ def test_stdin_and_console_script():
 
 
 def test_crash_exits_70_not_a_verdict(write):
-    # The JSON encoder recurses once per nesting level, and a threshold graph's
-    # tree nests 2 levels per vertex; under a low recursion limit printing it
-    # crashes, which must exit 70 with one line on stderr, never 1 ("false").
-    edges = "".join(f"{j} {i}\n" for i in range(1, 120, 2) for j in range(i))
-    path = write("threshold.edges", edges)
+    # A tree builder that recurses without end stands in for any crash: it
+    # must exit 70 with one line on stderr, never 1 ("false").
+    path = write("paw.edges", PAW)
     script = (
-        "import sys; from transor.cli import main; sys.setrecursionlimit(100);"
-        " sys.exit(main(['decompose', sys.argv[1]]))"
+        "import sys, transor.cli as cli\n"
+        "def endless(*args, **kwargs):\n"
+        "    return endless(*args, **kwargs)\n"
+        "cli.decomposition_tree = endless\n"
+        "sys.exit(cli.main(['decompose', sys.argv[1]]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, path], capture_output=True, text=True)
     assert proc.returncode == 70
     assert proc.stdout == ""
     assert proc.stderr.startswith("internal error: RecursionError")
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_decompose_prints_a_tree_deeper_than_the_recursion_limit(write, capsys):
+    # A threshold graph's tree is a chain of depth n - 1, and its JSON nests
+    # two levels per tree level: far past what json.dumps can recurse into.
+    n = 600
+    text = "".join(f"{u} {v}\n" for u, v in threshold_graph(n).sorted_edges())
+    code, out, err = run(capsys, "decompose", write("threshold.edges", text))
+    assert code == 0 and err == ""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 4 * n)  # json.loads and dict == recurse too
+    try:
+        assert json.loads(out) == decomposition_tree(parse_graph(text).graph).to_json_dict()
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_cli_start_up_does_not_import_numpy():

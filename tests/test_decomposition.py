@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import json
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
 from transor import (
     DomainError,
     Graph,
+    count_orientations,
     decomposition_tree,
+    induced_subgraph,
     is_module,
     is_strong_module,
     maximal_strong_partition,
@@ -16,7 +20,7 @@ from transor import (
     smallest_module,
 )
 from transor.decomposition import LEAF, PARALLEL, PRIME, SERIES
-from transor.oracle import fixtures
+from transor.oracle import closure_strong_partition, fixtures, random_graph
 
 import checks
 
@@ -156,3 +160,33 @@ def test_quotient_module_correspondence_small(small_bundles):
     for b in small_bundles:
         if b.g.vertex_count <= 6:
             checks.check_quotient_module_correspondence(b)
+
+
+def test_partition_matches_the_pair_closure_reference_past_subset_scale():
+    # 13-60 vertices: too many for the subset oracle, within the pair-closure
+    # reference.  Every internal node's children are checked, so prime nodes
+    # below the root (common in poset graphs) are covered too.
+    graphs = [Graph(range(n), [(i, i + 1) for i in range(n - 1)]) for n in (13, 21, 34, 60)]
+    graphs += [random_graph(n, p, n) for n in (13, 19, 26, 33, 41, 52, 60) for p in (Fraction(1, 10), Fraction(1, 3), Fraction(7, 10))]
+    graphs += [checks.random_poset_graph(n, p, n) for n in (13, 22, 31, 45, 60) for p in (Fraction(1, 12), Fraction(1, 5), Fraction(1, 3))]
+    for g in graphs:
+        base = maximal_strong_partition(g)
+        assert set(base) == closure_strong_partition(g)
+        for seed in range(3):
+            assert maximal_strong_partition(g, shuffle=random.Random(seed)) == base
+        tree = decomposition_tree(g, shuffle=random.Random(7))
+        for node in tree.walk():
+            if node.children and node is not tree:
+                expected = closure_strong_partition(induced_subgraph(g, node.vertex_set))
+                assert {c.vertex_set for c in node.children} == expected
+
+
+def test_long_path_is_one_prime_node_built_fast():
+    g = Graph(range(300), [(i, i + 1) for i in range(299)])
+    start = time.perf_counter()
+    tree = decomposition_tree(g)
+    elapsed = time.perf_counter() - start
+    assert tree.kind == PRIME and len(tree.children) == 300
+    assert all(c.kind == LEAF for c in tree.children)
+    assert elapsed < 5.0
+    assert count_orientations(g) == 2

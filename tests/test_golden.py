@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
 from transor import Graph
 from transor.cli import main
-from transor.oracle import complete_graph, fixtures, splitmix64
+from transor.oracle import complete_graph, fixtures
+
+from checks import random_poset_graph, threshold_graph
 
 VERBS = (
     ["colors"],
@@ -40,27 +41,6 @@ def balanced_cograph(depth: int) -> Graph:
             for lo in range(0, n, width):
                 edges += [(a, b) for a in range(lo, lo + half) for b in range(lo + half, lo + width)]
     return Graph(range(n), edges)
-
-
-def threshold_graph(n: int) -> Graph:
-    # Vertex i > 0 arrives dominating when odd, isolated when even: the
-    # strong-module tree is a chain of depth n - 1.
-    return Graph(range(n), [(j, i) for i in range(1, n, 2) for j in range(i)])
-
-
-def random_poset_graph(n: int, p: Fraction, seed: int) -> Graph:
-    # Comparability graph of the transitive closure of a splitmix64 DAG.
-    cut = (p.numerator << 64) // p.denominator
-    draws = splitmix64(seed)
-    succ = [0] * n
-    for i, j in combinations(range(n), 2):
-        if next(draws) < cut:
-            succ[i] |= 1 << j
-    for i in reversed(range(n)):
-        for j in range(i + 1, n):
-            if succ[i] >> j & 1:
-                succ[i] |= succ[j]
-    return Graph(range(n), [(i, j) for i, j in combinations(range(n), 2) if succ[i] >> j & 1])
 
 
 def golden_graphs() -> dict[str, Graph]:

@@ -11,6 +11,7 @@ from transor.oracle import (
     brute_force_modules,
     brute_force_orientations,
     brute_force_strong_modules,
+    closure_strong_partition,
     complete_graph,
     fixtures,
     random_family,
@@ -94,6 +95,22 @@ def test_strong_module_oracle_examples(fx):
 def test_module_oracle_guard():
     with pytest.raises(OracleScaleError):
         brute_force_modules(Graph(range(13)))
+    with pytest.raises(OracleScaleError):
+        closure_strong_partition(Graph(range(61)))
+    with pytest.raises(DomainError):
+        closure_strong_partition(Graph("a"))
+
+
+def test_closure_partition_is_the_maximal_proper_strong_modules(fx):
+    # Checked against the subset scan, so it can stand in for it past 12 vertices.
+    graphs = list(fx.values()) + list(all_labeled_graphs(4))
+    graphs += random_family(60, sizes=(5, 7, 9, 11), max_edges=None)
+    for g in graphs:
+        if g.vertex_count < 2:
+            continue
+        strong = brute_force_strong_modules(g) - {frozenset(g.vertices)}
+        maximal = {m for m in strong if not any(m < o for o in strong)}
+        assert closure_strong_partition(g) == maximal, g
 
 
 def test_random_graph_determinism():

@@ -265,3 +265,25 @@ def test_deep_tree_needs_no_recursion():
     assert levels == n - 1
     assert count == 2 ** (n // 2)
     assert is_transitive(g, first)
+
+
+def test_deep_tree_equality_hash_and_repr_need_no_recursion():
+    n = 600
+    g = checks.threshold_graph(n)
+    a, b = decomposition_tree(g), decomposition_tree(g)
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        assert max(len(path) for path, _ in a.walk_with_paths()) == n - 1
+        assert a == b and hash(a) == hash(b)
+        assert a != a.children[0] and a != decomposition_tree(checks.threshold_graph(n - 1))
+        text = repr(a)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == repr(b)
+    assert text.startswith("DecompositionNode(vertex_set=frozenset({") and text.count("DecompositionNode(") == 2 * n - 1
