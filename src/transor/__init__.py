@@ -27,7 +27,6 @@ from .forcing import (
 )
 from .decomposition import (
     DecompositionNode,
-    StrongPartition,
     decomposition_tree,
     is_module,
     is_strong_module,
@@ -70,7 +69,6 @@ __all__ = [
     "Orientation",
     "ParseError",
     "ParsedGraph",
-    "StrongPartition",
     "TransorError",
     "TriangleViolation",
     "check_triangle_lemma",

@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Exit codes: 0 success (check/verify: verdict true), 1 negative verdict,
-2 oracle disagreement, 64 bad input, 65 oracle-scale refusal, 70 internal
-error (a failed self-check, or a crash such as RecursionError).
+2 oracle disagreement, 64 bad input or a usage error (an unknown flag, a
+missing verb, a bad flag value), 65 oracle-scale refusal, 70 internal error
+(a failed self-check, or a crash such as RecursionError).
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from itertools import islice
 
 from .decomposition import PRIME, SERIES, decomposition_tree
 from .errors import DomainError, OracleScaleError, ParseError
@@ -150,11 +152,7 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     g = _load_graph(args.input)
     if args.oracle:
-        stream = iter(brute_force_orientations(g))
-        if args.limit is not None:
-            import itertools
-
-            stream = itertools.islice(stream, args.limit)
+        stream = islice(brute_force_orientations(g), args.limit)
     else:
         shuffle = random.Random(args.seed) if args.seed is not None else None
         stream = enumerate_orientations(g, limit=args.limit, shuffle=shuffle)
@@ -228,8 +226,20 @@ def _cmd_oracle_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's 2 means an oracle mismatch here; subparsers inherit this
+        self.print_usage(sys.stderr)
+        self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="transor",
         description="Decompose a graph, inspect forcing colors, and count or"
         " enumerate its transitive orientations.",
@@ -252,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("count", _cmd_count, help="count transitive orientations exactly")
     p.add_argument("--oracle", action="store_true", help="use the brute-force oracle")
     p = add("enumerate", _cmd_enumerate, help="stream orientations, one JSON line each")
-    p.add_argument("--limit", type=int, help="stop after N orientations")
+    p.add_argument("--limit", type=_non_negative_int, help="stop after N orientations")
     p.add_argument("--oracle", action="store_true", help="use the brute-force oracle")
     p.add_argument("--seed", type=int, help="shuffle internal scan order (output must not change)")
     p = add("verify", _cmd_verify, help="check a stored orientation for transitivity")
@@ -265,15 +275,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
     except OracleScaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 65
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 64
     except BrokenPipeError:
         return 0
     except Exception as exc:

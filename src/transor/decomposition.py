@@ -22,33 +22,20 @@ SERIES = "series"
 PRIME = "prime"
 
 
-@dataclass(frozen=True)
-class StrongPartition:
-    """The unique partition of a graph into maximal proper strong modules."""
-
-    parts: tuple[frozenset, ...]
-
-    def __iter__(self) -> Iterator[frozenset]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class DecompositionNode:
     """One node of the decomposition tree: a strong module and its split.
 
-    ``children`` partition ``vertex_set`` and are ordered by smallest vertex;
-    ``quotient`` is the graph induced on one representative per child (the
-    smallest vertex of each), present on internal nodes only.  Equality,
-    hashing and ``repr`` walk the tree on a stack, so any depth works.
+    ``children`` partition ``vertex_set`` and are ordered by smallest vertex.
+    No quotient is stored: ``induced_subgraph(g, node.representatives)`` is
+    one.  Equality is the tree as printed (vertex sets, kinds, children), so
+    trees of two graphs with the same strong modules and kinds compare equal;
+    it, hashing and ``repr`` walk the tree on a stack, so any depth works.
     """
 
     vertex_set: frozenset
     kind: str
     children: tuple["DecompositionNode", ...]
-    quotient: Graph | None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DecompositionNode):
@@ -58,9 +45,7 @@ class DecompositionNode:
             a, b = stack.pop()
             if a is b:
                 continue
-            if (a.vertex_set, a.kind, a.quotient, len(a.children)) != (
-                b.vertex_set, b.kind, b.quotient, len(b.children)
-            ):
+            if (a.vertex_set, a.kind, len(a.children)) != (b.vertex_set, b.kind, len(b.children)):
                 return False
             stack.extend(zip(a.children, b.children))
         return True
@@ -79,7 +64,7 @@ class DecompositionNode:
                 out.append(item)
                 continue
             out.append(f"DecompositionNode(vertex_set={item.vertex_set!r}, kind={item.kind!r}, children=(")
-            stack.append(("," if len(item.children) == 1 else "") + f"), quotient={item.quotient!r})")
+            stack.append(("," if len(item.children) == 1 else "") + "))")
             for i in range(len(item.children) - 1, -1, -1):
                 stack.append(item.children[i])
                 if i:
@@ -221,15 +206,16 @@ def _prime_parts(masks: list[int], x: int, shuffle: random.Random | None) -> lis
     return family
 
 
-def _strong_parts(masks: list[int], x: int, shuffle: random.Random | None) -> list[int]:
+def _strong_parts(masks: list[int], x: int, shuffle: random.Random | None) -> tuple[str, list[int]]:
     # The maximal strong modules of the subgraph induced on x (two or more
     # vertices), as masks by lowest vertex, checked to be modules (their own
-    # closures), pairwise disjoint and covering x.
-    parts = mask_components(masks, x)
+    # closures), pairwise disjoint and covering x; and the node kind, which is
+    # the case that split x (Gallai 1967).
+    kind, parts = PARALLEL, mask_components(masks, x)
     if len(parts) == 1:
-        parts = mask_components(masks, x, co=True)
+        kind, parts = SERIES, mask_components(masks, x, co=True)
     if len(parts) == 1:
-        parts = _prime_parts(masks, x, shuffle)
+        kind, parts = PRIME, _prime_parts(masks, x, shuffle)
     covered = 0
     for p in parts:
         if p & covered:
@@ -239,10 +225,10 @@ def _strong_parts(masks: list[int], x: int, shuffle: random.Random | None) -> li
             raise InvariantError("strong part is not a module")
     if covered != x:
         raise InvariantError("strong parts do not cover the node")
-    return parts
+    return kind, parts
 
 
-def maximal_strong_partition(g: Graph, *, shuffle: random.Random | None = None) -> StrongPartition:
+def maximal_strong_partition(g: Graph, *, shuffle: random.Random | None = None) -> tuple[frozenset, ...]:
     """The unique partition of V into maximal strong modules different from V.
 
     Three exclusive cases: a disconnected graph splits into its connected
@@ -256,8 +242,8 @@ def maximal_strong_partition(g: Graph, *, shuffle: random.Random | None = None) 
     n = g.vertex_count
     if n < 2:
         raise DomainError("partition needs at least two vertices")
-    parts = _strong_parts(g.adjacency_masks(), (1 << n) - 1, shuffle)
-    return StrongPartition(tuple(g.unmask(p) for p in parts))
+    _, parts = _strong_parts(g.adjacency_masks(), (1 << n) - 1, shuffle)
+    return tuple(g.unmask(p) for p in parts)
 
 
 def quotient(g: Graph, partition) -> Graph:
@@ -287,7 +273,7 @@ def decomposition_tree(g: Graph, *, shuffle: random.Random | None = None) -> Dec
     """Decomposition into strong modules, deterministic child order.
 
     Splits vertex masks of the host graph in pre-order on an explicit stack,
-    then assembles bottom-up: no recursion and no graph copy per level."""
+    then assembles bottom-up: no recursion and no graph per level."""
     n = g.vertex_count
     if n == 0:
         raise DomainError("cannot decompose an empty vertex set")
@@ -297,21 +283,16 @@ def decomposition_tree(g: Graph, *, shuffle: random.Random | None = None) -> Dec
     stack = [(1 << n) - 1]
     while stack:
         x = stack.pop()
-        parts = _strong_parts(masks, x, shuffle) if x & (x - 1) else []
-        splits.append((x, parts))
+        kind, parts = _strong_parts(masks, x, shuffle) if x & (x - 1) else (LEAF, [])
+        splits.append((x, kind, parts))
         stack.extend(reversed(parts))
     built: dict[int, DecompositionNode] = {}
-    for x, parts in reversed(splits):
+    for x, kind, parts in reversed(splits):
         if not parts:
-            built[x] = DecompositionNode(frozenset((vs[x.bit_length() - 1],)), LEAF, (), None)
+            built[x] = DecompositionNode(frozenset((vs[x.bit_length() - 1],)), LEAF, ())
             continue
         children = tuple(built.pop(p) for p in parts)
-        reps = [(p & -p).bit_length() - 1 for p in parts]
-        q = Graph([vs[r] for r in reps], [(vs[a], vs[b]) for a, b in combinations(reps, 2) if masks[a] >> b & 1])
-        k, m = len(parts), q.edge_count
-        kind = PARALLEL if m == 0 else SERIES if m == k * (k - 1) // 2 else PRIME
-        vertex_set = frozenset().union(*(c.vertex_set for c in children))
-        built[x] = DecompositionNode(vertex_set, kind, children, q)
+        built[x] = DecompositionNode(frozenset().union(*(c.vertex_set for c in children)), kind, children)
     return built[x]  # the root: split first, assembled last
 
 
@@ -319,31 +300,44 @@ def _charge_edges(g: Graph, tree: DecompositionNode) -> list[tuple]:
     """Charge every edge to the one node whose children separate its ends.
 
     ``(path, node, blocks)`` per series and prime node in pre-order; ``blocks``
-    maps child pairs ``(i, j)``, ``i < j``, that the quotient joins to their
-    edges ``(u, v)``, ``u`` in child ``i``.  The charges must partition E."""
+    maps child pairs ``(i, j)``, ``i < j``, with adjacent representatives to
+    their edges ``(u, v)``, ``u`` in child ``i``.  The charges must partition
+    E, and a parallel node's representatives must be pairwise non-adjacent."""
     if tree.vertex_set != frozenset(g.vertices):
         raise InvariantError("edge endpoint missing from the tree")
     index = g.index
     edges = g.edges
+    masks = g.adjacency_masks()
     charged = 0
     out = []
     for path, node in tree.walk_with_paths():
-        q = node.quotient
-        if node.kind not in (SERIES, PRIME):
-            if q and q.edge_count:
-                raise InvariantError(f"{node.kind} node received crossing edges")
+        if node.kind == LEAF:
             continue
-        pos = q.index
+        reps = [index[r] for r in node.representatives]
+        rep_mask = seen = 0
+        for r in reps:
+            rep_mask |= 1 << r
+            seen |= masks[r]
+        if node.kind == PARALLEL:
+            if seen & rep_mask:
+                raise InvariantError("parallel node received crossing edges")
+            continue
+        child_of = {r: i for i, r in enumerate(reps)}
         blocks = {}
-        for i, j in sorted((pos[a], pos[b]) for a, b in q.edges):
-            block = []
-            for u in node.children[i].vertex_set:
-                for v in node.children[j].vertex_set:
-                    if ((u, v) if index[u] < index[v] else (v, u)) not in edges:
-                        raise InvariantError("a quotient edge lifts to a non-edge")
-                    block.append((u, v))
-            blocks[(i, j)] = block
-            charged += len(block)
+        for i, r in enumerate(reps):
+            joined = masks[r] & (rep_mask >> (r + 1) << (r + 1))  # representatives of later children
+            while joined:
+                b = joined & -joined
+                joined ^= b
+                j = child_of[b.bit_length() - 1]
+                block = []
+                for u in node.children[i].vertex_set:
+                    for v in node.children[j].vertex_set:
+                        if ((u, v) if index[u] < index[v] else (v, u)) not in edges:
+                            raise InvariantError("a quotient edge lifts to a non-edge")
+                        block.append((u, v))
+                blocks[(i, j)] = block
+                charged += len(block)
         if not blocks:
             raise InvariantError(f"{node.kind} node received no crossing edges")
         out.append((path, node, blocks))

@@ -112,7 +112,7 @@ class _LiftPlan:
         for path, node, blocks in _charge_edges(g, tree):
             dirs = None
             if node.kind == PRIME:
-                reps = node.quotient.vertices
+                reps = node.representatives
                 ids = {cmap.color_of(reps[i], reps[j]) for i, j in blocks}
                 if len(ids) != 1:
                     raise InvariantError("prime quotient does not have a single color")

@@ -486,7 +486,7 @@ def check_node_shapes(b: Bundle):
         assert k >= 2, f"{b}: internal node with {k} children"
         union = frozenset().union(*(c.vertex_set for c in node.children))
         assert union == node.vertex_set, f"{b}: children do not partition the node"
-        q = node.quotient
+        q = induced_subgraph(b.g, node.representatives)
         empty = q.edge_count == 0
         complete = q.edge_count == k * (k - 1) // 2
         if node.kind == PARALLEL:
@@ -552,7 +552,7 @@ def check_trichotomy(b: Bundle):
         if node.kind == "leaf":
             continue
         k = len(node.children)
-        q = node.quotient
+        q = induced_subgraph(b.g, node.representatives)
         empty = q.edge_count == 0
         complete = q.edge_count == k * (k - 1) // 2
         indecomposable = False

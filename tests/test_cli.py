@@ -118,6 +118,24 @@ def test_oracle_compare_agreement(write, capsys):
     assert code == 0 and out.startswith("agreement")
 
 
+def test_usage_errors_exit_64_not_the_mismatch_code(write, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-compare", "--bogus", write("paw.edges", PAW)])
+    assert exc.value.code == 64
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+def test_negative_limit_is_a_usage_error_on_both_paths(write, capsys):
+    path = write("k3.edges", K3)
+    for oracle in ([], ["--oracle"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--limit", "-1", *oracle, path])
+        assert exc.value.code == 64
+        assert "non-negative integer" in capsys.readouterr().err
+        code, out, _ = run(capsys, "enumerate", "--limit", "0", *oracle, path)
+        assert code == 0 and out == ""
+
+
 def test_oracle_compare_refuses_large_input(write, capsys):
     lines = [f"v{i} v{j}" for i in range(8) for j in range(i + 1, 8)]
     code, _, err = run(capsys, "oracle-compare", write("k8.edges", "\n".join(lines)))
@@ -211,7 +229,7 @@ def test_stdin_and_console_script():
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 2  # argparse: no verb given
+    assert proc.returncode == 64  # usage error: no verb given
     proc = subprocess.run(
         [sys.executable, "-c", "from transor.cli import entrypoint; entrypoint()", "count", "-"],
         input=PAW,

@@ -123,7 +123,7 @@ def test_quotient_rejects_non_module_partitions(fx):
 def test_representatives_are_quotient_vertices(fx):
     tree = decomposition_tree(fx["paw"])
     assert tree.representatives == ["a", "b"]
-    assert tuple(tree.representatives) == tree.quotient.vertices
+    assert tuple(tree.representatives) == quotient(fx["paw"], [c.vertex_set for c in tree.children]).vertices
 
 
 def test_tree_json_schema(fx):
@@ -176,7 +176,12 @@ def test_partition_matches_the_pair_closure_reference_past_subset_scale():
             assert maximal_strong_partition(g, shuffle=random.Random(seed)) == base
         tree = decomposition_tree(g, shuffle=random.Random(7))
         for node in tree.walk():
-            if node.children and node is not tree:
+            if not node.children:
+                continue
+            q, k = induced_subgraph(g, node.representatives), len(node.children)
+            shape = PARALLEL if q.edge_count == 0 else SERIES if q.edge_count == k * (k - 1) // 2 else PRIME
+            assert node.kind == shape
+            if node is not tree:
                 expected = closure_strong_partition(induced_subgraph(g, node.vertex_set))
                 assert {c.vertex_set for c in node.children} == expected
 
