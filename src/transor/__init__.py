@@ -49,9 +49,9 @@ from .orientation import (
     enumerate_orientations,
     is_transitive,
     materialize,
-    strong_modules_of_order,
 )
 from . import oracle
+from .oracle import strong_modules_of_order
 
 __version__ = "0.1.0"
 

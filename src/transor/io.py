@@ -99,12 +99,18 @@ def parse_dimacs(text: str) -> ParsedGraph:
 
 
 def parse_graph(text: str) -> ParsedGraph:
-    """Parse either supported format, sniffing for a DIMACS problem line."""
+    """Parse either supported format, sniffing for a DIMACS problem line.
+
+    The first line that is neither blank nor a 'c' comment decides: it is a
+    DIMACS header when its first token is "p" and it does not hold exactly
+    two tokens before any '#', since "p q" is an edge from vertex p.
+    """
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("p ") or line.startswith("p\t"):
+        tokens = line.split("#", 1)[0].split()
+        if tokens[:1] == ["p"] and len(tokens) != 2:
             return parse_dimacs(text)
         if not line.startswith("c ") and line != "c":
             return parse_edge_list(text)

@@ -1,10 +1,10 @@
 """Brute-force ground truth and test corpora.
 
 Everything here is deliberately independent of the fast path: orientations
-come from filtering all 2^|E| direction assignments, modules from scanning
-all vertex subsets.  Hard size guards refuse inputs where those loops blow
-up.  The random generator is splitmix64, specified bit-exactly in the README
-so corpora reproduce anywhere.
+come from a backtracking search over all 2^|E| direction assignments,
+modules from scanning all vertex subsets.  Hard size guards refuse inputs
+where those loops blow up.  The random generator is splitmix64, specified
+bit-exactly in the README so corpora reproduce anywhere.
 """
 from __future__ import annotations
 
@@ -14,12 +14,13 @@ from typing import Iterator
 
 from .errors import DomainError, InvariantError, OracleScaleError
 from .graph import Graph, complement, connected_components
-from .orientation import Orientation
+from .orientation import Orientation, is_transitive
 
 _MASK64 = (1 << 64) - 1
 
 MAX_ORACLE_EDGES = 20
 MAX_ORACLE_VERTICES = 12
+MAX_ORDER_VERTICES = 10
 MAX_CLOSURE_VERTICES = 60
 
 
@@ -61,71 +62,68 @@ def random_graph(n: int, p, seed: int) -> Graph:
 
 
 def brute_force_orientations(g: Graph) -> list[Orientation]:
-    """All transitive orientations, by filtering every direction assignment.
+    """All transitive orientations, by a backtracking search over the 2^|E| assignments.
 
-    Assignment k of edge i is bit i of a counter; the transitivity filter
-    (every edge tail's successor set contains its head's) runs bit-parallel
-    over numpy chunks.  Refuses more than 20 edges.
+    Edges are decided in sorted order.  Directing t->h is refused when a
+    decided a->t has no a->h (a-h is not an edge, or h->a is decided), or a
+    decided h->b has no t->b.  A broken 2-path is refused once its last edge
+    is decided, so the leaves are exactly the transitive orientations, sorted
+    by their pairs.  Refuses more than 20 edges.
     """
-    import numpy as np  # only the oracle needs numpy; keep it out of CLI start-up
-
     m = g.edge_count
     if m > MAX_ORACLE_EDGES:
         raise OracleScaleError(f"orientation scan limited to {MAX_ORACLE_EDGES} edges, got {m}")
-    if m == 0:
-        return [Orientation(frozenset())]
     edges = g.sorted_edges()
-    verts = sorted({x for e in edges for x in e}, key=g.index.get)
-    vi = {v: i for i, v in enumerate(verts)}
-    total = 1 << m
-    chunk = 1 << 16
-    keep: list[int] = []
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        succ = np.zeros((len(codes), len(verts)), dtype=np.uint64)
-        fwd_flags = []
-        for k, (u, v) in enumerate(edges):
-            fwd = ((codes >> np.uint32(k)) & 1).astype(bool)
-            iu, iv = vi[u], vi[v]
-            succ[:, iu] |= np.where(fwd, np.uint64(1 << iv), np.uint64(0))
-            succ[:, iv] |= np.where(fwd, np.uint64(0), np.uint64(1 << iu))
-            fwd_flags.append((fwd, iu, iv))
-        ok = np.ones(len(codes), dtype=bool)
-        for fwd, iu, iv in fwd_flags:
-            tail = np.where(fwd, succ[:, iu], succ[:, iv])
-            head = np.where(fwd, succ[:, iv], succ[:, iu])
-            ok &= (head & ~tail) == 0
-        keep.extend(int(c) for c in codes[ok])
+    adj = {v: g.neighbors(v) for v in g.vertices}
+    succ: dict = {v: set() for v in g.vertices}
+    pred: dict = {v: set() for v in g.vertices}
+    chosen: list[tuple] = []
     out = []
-    for code in keep:
-        directed = frozenset(
-            (u, v) if (code >> k) & 1 else (v, u) for k, (u, v) in enumerate(edges)
-        )
-        out.append(Orientation(directed))
+
+    def extend(k: int) -> None:
+        if k == m:
+            out.append(Orientation(frozenset(chosen)))
+            return
+        for t, h in (edges[k], edges[k][::-1]):
+            # every a->t needs a->h, every h->b needs t->b; h->a->t or h->b->t is a cycle
+            if pred[t] <= adj[h] and succ[h] <= adj[t] and pred[t].isdisjoint(succ[h]):
+                chosen.append((t, h))
+                succ[t].add(h)
+                pred[h].add(t)
+                extend(k + 1)
+                chosen.pop()
+                succ[t].remove(h)
+                pred[h].remove(t)
+
+    extend(0)
     out.sort(key=Orientation.sorted_pairs)
     return out
+
+
+def _uniform_subsets(relations: tuple[list[int], ...], n: int) -> list[int]:
+    """Every nonempty vertex mask that each outside vertex's relation masks
+    see all of or none of."""
+    checks = [(1 << i, masks[i]) for masks in relations for i in range(n)]
+    found = []
+    for x in range(1, 1 << n):
+        for b, m in checks:
+            if not b & x and m & x not in (0, x):
+                break
+        else:
+            found.append(x)
+    return found
+
+
+def _strong(found: list[int]) -> list[int]:
+    """The masks of found that no other member overlaps."""
+    return [x for x in found if not any((x & y) and (x & ~y) and (y & ~x) for y in found)]
 
 
 def _module_masks(g: Graph) -> list[int]:
     n = g.vertex_count
     if n > MAX_ORACLE_VERTICES:
         raise OracleScaleError(f"module scan limited to {MAX_ORACLE_VERTICES} vertices, got {n}")
-    masks = g.adjacency_masks()
-    full = (1 << n) - 1
-    found = []
-    for x in range(1, full + 1):
-        ext = full & ~x
-        ok = True
-        while ext:
-            b = ext & -ext
-            t = masks[b.bit_length() - 1] & x
-            if t and t != x:
-                ok = False
-                break
-            ext ^= b
-        if ok:
-            found.append(x)
-    return found
+    return _uniform_subsets((g.adjacency_masks(),), n)
 
 
 def brute_force_modules(g: Graph) -> set[frozenset]:
@@ -135,12 +133,28 @@ def brute_force_modules(g: Graph) -> set[frozenset]:
 
 def brute_force_strong_modules(g: Graph) -> set[frozenset]:
     """Modules overlapped by no other module."""
-    found = _module_masks(g)
-    return {
-        g.unmask(x)
-        for x in found
-        if not any((x & y) and (x & ~y) and (y & ~x) for y in found)
-    }
+    return {g.unmask(x) for x in _strong(_module_masks(g))}
+
+
+def strong_modules_of_order(g: Graph, o: Orientation) -> set[frozenset]:
+    """Strong modules of a transitive orientation, by exhaustive subset scan.
+
+    A set is a directed module when every external vertex relates uniformly
+    to it in each direction separately; strong means overlapped by no other
+    directed module.  Test-support operation, capped at 10 vertices.
+    """
+    n = g.vertex_count
+    if n > MAX_ORDER_VERTICES:
+        raise OracleScaleError(f"directed strong modules limited to {MAX_ORDER_VERTICES} vertices, got {n}")
+    if not is_transitive(g, o):
+        raise DomainError("orientation is not transitive")
+    idx = g.index
+    out = [0] * n
+    into = [0] * n
+    for t, h in o.directed:
+        out[idx[t]] |= 1 << idx[h]
+        into[idx[h]] |= 1 << idx[t]
+    return {g.unmask(x) for x in _strong(_uniform_subsets((out, into), n))}
 
 
 def closure_strong_partition(g: Graph) -> set[frozenset]:

@@ -16,7 +16,7 @@ from math import factorial, prod
 from typing import Iterable, Iterator
 
 from .decomposition import DecompositionNode, PRIME, SERIES, _charge_edges, decomposition_tree
-from .errors import DomainError, InvariantError, OracleScaleError
+from .errors import DomainError, InvariantError
 from .forcing import ColorMap, color_classes
 from .graph import Graph
 
@@ -248,47 +248,3 @@ def enumerate_orientations(
         return
     yield from islice(map(plan.apply, _choice_product(plan)), limit)
 
-
-def strong_modules_of_order(g: Graph, o: Orientation) -> set[frozenset]:
-    """Strong modules of a transitive orientation, by exhaustive subset scan.
-
-    A set is a directed module when every external vertex relates uniformly
-    to it in each direction separately; strong means overlapped by no other
-    directed module.  Test-support operation, capped at 10 vertices.
-    """
-    n = g.vertex_count
-    if n > 10:
-        raise OracleScaleError(f"directed strong modules limited to 10 vertices, got {n}")
-    if not is_transitive(g, o):
-        raise DomainError("orientation is not transitive")
-    idx = g.index
-    out = [0] * n
-    into = [0] * n
-    for t, h in o.directed:
-        out[idx[t]] |= 1 << idx[h]
-        into[idx[h]] |= 1 << idx[t]
-    full = (1 << n) - 1
-    modules = []
-    for x in range(1, full + 1):
-        ext = full & ~x
-        ok = True
-        e = ext
-        while e:
-            b = e & -e
-            i = b.bit_length() - 1
-            t = out[i] & x
-            if t and t != x:
-                ok = False
-                break
-            t = into[i] & x
-            if t and t != x:
-                ok = False
-                break
-            e ^= b
-        if ok:
-            modules.append(x)
-    strong = []
-    for x in modules:
-        if not any((x & y) and (x & ~y) and (y & ~x) for y in modules):
-            strong.append(x)
-    return {g.unmask(x) for x in strong}

@@ -273,10 +273,18 @@ def test_decompose_prints_a_tree_deeper_than_the_recursion_limit(write, capsys):
         sys.setrecursionlimit(limit)
 
 
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import transor, transor.cli, transor.oracle
+print('numpy' in sys.modules)
+transor.oracle.brute_force_orientations(transor.oracle.paw())
+loaded = {name.partition('.')[0] for name in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names) - {'transor'}))
+"""
+
+
 def test_cli_start_up_does_not_import_numpy():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, transor.cli; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0 and proc.stdout == "False\n"
+    # Modules loaded before the probe starts (site hooks) are not counted.
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "False\n[]\n", proc.stdout + proc.stderr

@@ -1,6 +1,6 @@
 """Exhaustive fast-path/oracle agreement over every labeled 6-vertex graph.
 
-About half a minute of work; deselect with ``-m "not slow"`` for quick loops.
+About a quarter of a minute of work; deselect with ``-m "not slow"`` for quick loops.
 """
 from __future__ import annotations
 

@@ -69,3 +69,7 @@ def test_parse_graph_dispatch():
     assert parse_graph("p edge 2 1\ne 1 2\n").graph.vertices == (1, 2)
     assert parse_graph("a b\n").graph.vertices == ("a", "b")
     assert parse_graph("c d\na b\n").graph.edge_count == 2
+    assert parse_graph("p q\nq r\n").graph.edge_count == 2
+    assert parse_graph("c d\np q\n").graph.edge_count == 2
+    assert parse_graph("p q # first edge\nq r\n").graph.edge_count == 2
+    assert parse_graph("p edge 2 1\ne 1 2\n").graph.edge_count == 1
