@@ -1,5 +1,7 @@
 """Strong-module decomposition and exact transitive-orientation enumeration."""
 
+from importlib import import_module
+
 from .errors import (
     DomainError,
     InvariantError,
@@ -8,7 +10,6 @@ from .errors import (
     TransorError,
 )
 from .graph import (
-    DirectedEdge,
     Graph,
     complement,
     connected_components,
@@ -50,16 +51,22 @@ from .orientation import (
     is_transitive,
     materialize,
 )
-from . import oracle
-from .oracle import strong_modules_of_order
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The oracle loads on first use: it pulls in fractions, which no verb needs.
+    if name in ("oracle", "strong_modules_of_order"):
+        oracle = import_module(".oracle", __name__)
+        return oracle if name == "oracle" else oracle.strong_modules_of_order
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ColorClass",
     "ColorMap",
     "DecompositionNode",
-    "DirectedEdge",
     "DomainError",
     "Graph",
     "InvariantError",

@@ -19,12 +19,6 @@ from .forcing import color_classes, is_comparability
 from .graph import Graph
 from .io import parse_graph
 from .multiplex import multiplex_partition
-from .oracle import (
-    MAX_ORACLE_EDGES,
-    MAX_ORACLE_VERTICES,
-    brute_force_orientations,
-    brute_force_strong_modules,
-)
 from .orientation import Orientation, count_orientations, enumerate_orientations, is_transitive
 
 
@@ -84,13 +78,20 @@ def _tree_to_dot(tree) -> str:
         if node.kind in (SERIES, PRIME):
             rank = len(node.children) - 1 if node.kind == SERIES else 1
             label += f" rank={rank}"
-        label += "\\n{" + ",".join(str(v) for v in sorted(node.vertex_set)) + "}"
+        members = ",".join(str(v) for v in sorted(node.vertex_set))
+        label += "\\n{" + members.replace("\\", "\\\\").replace('"', '\\"') + "}"
         lines.append(f'  n{i} [label="{label}"];')
     for path, node in tree.walk_with_paths():
         for i in range(len(node.children)):
             lines.append(f"  {names[path]} -> {names[path + (i,)]};")
     lines.append("}")
     return "\n".join(lines)
+
+
+def _oracle_orientations(g: Graph) -> list[Orientation]:
+    from .oracle import brute_force_orientations  # only on request: it loads fractions
+
+    return brute_force_orientations(g)
 
 
 def _cmd_colors(args) -> int:
@@ -133,7 +134,7 @@ def _cmd_multiplexes(args) -> int:
 def _cmd_check(args) -> int:
     g = _load_graph(args.input)
     if args.oracle:
-        verdict = len(brute_force_orientations(g)) > 0
+        verdict = len(_oracle_orientations(g)) > 0
     else:
         verdict = is_comparability(g)
     print(f"comparability: {'true' if verdict else 'false'}")
@@ -143,7 +144,7 @@ def _cmd_check(args) -> int:
 def _cmd_count(args) -> int:
     g = _load_graph(args.input)
     if args.oracle:
-        print(len(brute_force_orientations(g)))
+        print(len(_oracle_orientations(g)))
     else:
         print(count_orientations(g))
     return 0
@@ -152,7 +153,7 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     g = _load_graph(args.input)
     if args.oracle:
-        stream = islice(brute_force_orientations(g), args.limit)
+        stream = islice(_oracle_orientations(g), args.limit)
     else:
         shuffle = random.Random(args.seed) if args.seed is not None else None
         stream = enumerate_orientations(g, limit=args.limit, shuffle=shuffle)
@@ -181,13 +182,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
+    from . import oracle
+
     g = _load_graph(args.input)
-    if g.edge_count > MAX_ORACLE_EDGES or g.vertex_count > MAX_ORACLE_VERTICES:
+    if g.edge_count > oracle.MAX_ORACLE_EDGES or g.vertex_count > oracle.MAX_ORACLE_VERTICES:
         raise OracleScaleError(
-            f"oracle comparison limited to {MAX_ORACLE_VERTICES} vertices"
-            f" and {MAX_ORACLE_EDGES} edges"
+            f"oracle comparison limited to {oracle.MAX_ORACLE_VERTICES} vertices"
+            f" and {oracle.MAX_ORACLE_EDGES} edges"
         )
-    truth = brute_force_orientations(g)
+    truth = oracle.brute_force_orientations(g)
     count = count_orientations(g)
     fast = list(enumerate_orientations(g))
 
@@ -213,7 +216,7 @@ def _cmd_oracle_compare(args) -> int:
     if verdict != (len(truth) > 0):
         return fail("comparability", {"fast": verdict, "oracle": len(truth) > 0})
     tree_sets = {node.vertex_set for node in decomposition_tree(g).walk()}
-    oracle_strong = brute_force_strong_modules(g)
+    oracle_strong = oracle.brute_force_strong_modules(g)
     if tree_sets != oracle_strong:
         diff = tree_sets.symmetric_difference(oracle_strong)
         return fail(
@@ -291,6 +294,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    if hasattr(sys, "set_int_max_str_digits"):  # counts pass Python 3.11+'s 4300-digit default
+        sys.set_int_max_str_digits(0)
     sys.exit(main())
 
 

@@ -87,12 +87,6 @@ class DecompositionNode:
             for i in range(len(node.children) - 1, -1, -1):
                 stack.append((path + (i,), node.children[i]))
 
-    def node_at(self, path: tuple[int, ...]) -> "DecompositionNode":
-        node = self
-        for i in path:
-            node = node.children[i]
-        return node
-
     @property
     def representatives(self) -> list:
         """The smallest vertex of each child; these are the quotient's vertices."""
@@ -353,10 +347,7 @@ def is_strong_module(g: Graph, sub: Iterable) -> bool:
     the trivial sets); tests verify this against the brute-force definition.
     """
     xs = frozenset(sub)
-    for v in xs:
-        if not g.has_vertex(v):
-            raise DomainError(f"vertex {v!r} is not in the graph")
-    if not is_module(g, xs):
+    if not is_module(g, xs):  # also refuses vertices outside the graph
         return False
     if len(xs) <= 1 or len(xs) == g.vertex_count:
         return True

@@ -5,15 +5,17 @@ heads are non-adjacent, or share a head and the tails are non-adjacent.  The
 reflexive/transitive closure of that relation partitions the 2|E| directed
 edges into implication classes; a class A paired with its reverse A' gives an
 undirected color class.  A graph is transitively orientable exactly when no
-class meets its own reverse.
+class meets its own reverse.  The out-edges of t split into classes along the
+co-components of N(t), the in-edges of h along those of N(h), so a union-find
+over those groups finds the classes (``oracle.implication_classes`` walks the
+relation itself, as the reference).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .errors import DomainError, InvariantError
-from .graph import Graph, spanned_vertices
+from .graph import Graph, mask_components, spanned_vertices
 
 
 @dataclass(frozen=True)
@@ -84,55 +86,53 @@ def directly_forces(e1: tuple, e2: tuple, g: Graph) -> bool:
     return False
 
 
-def _force_neighbors(g: Graph, a, b) -> Iterator[tuple]:
-    # All directed edges reachable from (a, b) in one forcing step.
-    adj_a = g.neighbors(a)
-    adj_b = g.neighbors(b)
-    for b2 in adj_a:
-        if b2 != b and b2 not in adj_b:
-            yield (a, b2)
-    for a2 in adj_b:
-        if a2 != a and a2 not in adj_a:
-            yield (a2, b)
-
-
 def color_classes(g: Graph) -> ColorMap:
     """Partition the directed edges into implication classes and pair them into colors.
 
-    Classes are connected components of the one-step forcing relation over all
-    2|E| directed edges.  Directed edges are visited in vertex order, so each
-    color's id and its canonical forward half are deterministic.
+    (t,h) and (t,h') share a class exactly when h, h' share a co-component of
+    N(t); (t,h) and (t',h) exactly when t, t' share one of N(h).  A union-find
+    joins each edge's group at its tail to its group at its head: one mask BFS
+    per vertex and O(|E|) steps.  Edges are read in vertex order, so each
+    color's id and canonical forward half are deterministic.
     """
-    idx = g.index
-    directed = sorted(
-        ((u, v) for e in g.edges for (u, v) in (e, (e[1], e[0]))),
-        key=lambda e: (idx[e[0]], idx[e[1]]),
-    )
-    seen: set = set()
+    vs = g.vertices
+    masks = g.adjacency_masks()
+    group: list[dict] = []  # group[t][h] = k: h lies in co-component k of N(t)
+    k = 0
+    for m in masks:
+        group.append({})
+        for comp in mask_components(masks, m, co=True):
+            while comp:
+                b = comp & -comp
+                group[-1][b.bit_length() - 1] = k
+                comp ^= b
+            k += 1
+    parent = list(range(2 * k))  # 2k: co-component k's out-edges, 2k + 1: its in-edges
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for t, of in enumerate(group):
+        for h, kt in of.items():
+            parent[find(2 * kt)] = find(2 * group[h][t] + 1)
+    halves: dict = {}  # class root -> its edges, or None for the reverse of a color
+    for t, of in enumerate(group):
+        for h in sorted(of):
+            root = find(2 * of[h])
+            if root not in halves:
+                halves[root] = []
+                halves.setdefault(find(2 * group[h][t]), None)
+            if halves[root] is not None:
+                halves[root].append((vs[t], vs[h]))
     colors = []
-    for start in directed:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nxt in _force_neighbors(g, *cur):
-                if nxt not in comp:
-                    comp.add(nxt)
-                    stack.append(nxt)
+    for comp in filter(None, halves.values()):  # forward halves, in id order
         forward = frozenset(comp)
         reverse = frozenset((y, x) for x, y in comp)
-        if forward & reverse:
-            if forward != reverse:
-                raise InvariantError(
-                    "implication class meets its reverse without equalling it"
-                )
-            seen |= forward
-            self_inverse = True
-        else:
-            seen |= forward | reverse
-            self_inverse = False
+        self_inverse = bool(forward & reverse)
+        if self_inverse and forward != reverse:
+            raise InvariantError("implication class meets its reverse without equalling it")
         undirected = frozenset(g.edge_key(x, y) for x, y in forward)
         colors.append(
             ColorClass(
@@ -196,15 +196,10 @@ def check_triangle_lemma(g: Graph) -> list[TriangleViolation]:
         for w in g.vertices:
             if idx[w] > idx[v] and w in g.neighbors(u) and w in g.neighbors(v):
                 triangles.append((u, v, w))
+    from functools import cache
     from itertools import permutations
 
-    key_cache: dict = {}
-
-    def key(e):
-        if e not in key_cache:
-            key_cache[e] = cmap.class_key(e)
-        return key_cache[e]
-
+    key = cache(cmap.class_key)
     for tri in triangles:
         for a, b, c in permutations(tri):
             k_c = key((a, b))

@@ -7,19 +7,9 @@ any output.
 """
 from __future__ import annotations
 
-from typing import Any, Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import DomainError
-
-
-class DirectedEdge(NamedTuple):
-    """One chosen direction of an undirected edge."""
-
-    tail: Any
-    head: Any
-
-    def reversed(self) -> "DirectedEdge":
-        return DirectedEdge(self.head, self.tail)
 
 
 class Graph:

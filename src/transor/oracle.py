@@ -100,6 +100,26 @@ def brute_force_orientations(g: Graph) -> list[Orientation]:
     return out
 
 
+def implication_classes(g: Graph) -> set[frozenset]:
+    """The implication classes by definition: a BFS over the 2|E| directed edges
+    in which (a,b) forces (a,b') when bb' is no edge and (a',b) when aa' is none.
+    The reference for ``color_classes``: a definition, not a search, so unguarded."""
+    seen, classes = set(), set()
+    for start in [d for e in g.edges for d in (e, e[::-1])]:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            a, b = stack.pop()
+            na, nb = g.neighbors(a), g.neighbors(b)
+            fresh = {(a, x) for x in na - nb if x != b} | {(x, b) for x in nb - na if x != a}
+            stack += fresh - comp
+            comp |= fresh
+        seen |= comp
+        classes.add(frozenset(comp))
+    return classes
+
+
 def _uniform_subsets(relations: tuple[list[int], ...], n: int) -> list[int]:
     """Every nonempty vertex mask that each outside vertex's relation masks
     see all of or none of."""

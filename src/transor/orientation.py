@@ -138,21 +138,13 @@ class _LiftPlan:
                 if perm is None or sorted(perm) != list(range(k)):
                     raise DomainError(f"series node {path} needs a permutation of {k} children")
                 pos = {child: rank for rank, child in enumerate(perm)}
-                for (i, j), es in pair_blocks.items():
-                    if pos[i] < pos[j]:
-                        directed.extend(es)
-                    else:
-                        directed.extend((v, u) for u, v in es)
-            else:
-                if choice.use_reverse is None:
-                    raise DomainError(f"prime node {path} needs a direction flag")
-                flip = choice.use_reverse
-                for (i, j), es in pair_blocks.items():
-                    forward = dirs[(i, j)] != flip
-                    if forward:
-                        directed.extend(es)
-                    else:
-                        directed.extend((v, u) for u, v in es)
+            elif choice.use_reverse is None:
+                raise DomainError(f"prime node {path} needs a direction flag")
+            for (i, j), es in pair_blocks.items():
+                if pos[i] < pos[j] if kind == SERIES else dirs[(i, j)] != choice.use_reverse:
+                    directed.extend(es)
+                else:
+                    directed.extend((v, u) for u, v in es)
         return Orientation(frozenset(directed))
 
 

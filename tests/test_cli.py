@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -68,6 +70,44 @@ def test_decompose_json_and_dot(write, capsys):
     code, dot, _ = run(capsys, "decompose", "--dot", path)
     assert code == 0
     assert dot.startswith("digraph") and "series rank=1" in dot
+
+
+def test_dot_labels_are_quoted_strings(write, capsys):
+    # Quotes and backslashes in vertex names are escaped, so every label is
+    # one DOT quoted string whose unescaped leaf names are the vertices.
+    names = ['a"b', "c", "d\\", "e\\n", 'f\\"']
+    text = "".join(f"{u} {v}\n" for u, v in zip(names, names[1:]))
+    code, dot, _ = run(capsys, "decompose", "--dot", write("names.edges", text))
+    assert code == 0
+    leaves = []
+    for line in dot.splitlines()[2:-1]:
+        if "->" in line:
+            continue
+        label = re.fullmatch(r'  n\d+ \[label="((?:[^"\\]|\\.)*)"\];', line)
+        assert label, line
+        kind, _, members = re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], label[1]).partition("\n")
+        if kind == "leaf":
+            leaves.append(members[1:-1])
+    assert sorted(leaves) == sorted(names)
+
+
+def test_count_prints_past_the_int_to_str_digit_limit(write):
+    # 3300 disjoint K4s count 24**3300, 4555 digits: past the 4300 that
+    # Python 3.11+ converts by default.
+    text = "".join(f"{k}.{i} {k}.{j}\n" for k in range(3300) for i, j in combinations(range(4), 2))
+    proc = subprocess.run(
+        [sys.executable, "-m", "transor.cli", "count", write("k4s.edges", text)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    digits = proc.stdout.rstrip("\n")
+    assert len(digits) == 4555 and digits.isdecimal()
+    value = 0
+    for i in range(0, len(digits), 1000):  # int() also refuses one string past the limit
+        chunk = digits[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == 24**3300
 
 
 def test_decompose_seed_does_not_change_output(write, capsys):
@@ -276,8 +316,10 @@ def test_decompose_prints_a_tree_deeper_than_the_recursion_limit(write, capsys):
 _IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
-import transor, transor.cli, transor.oracle
-print('numpy' in sys.modules)
+import transor, transor.cli
+new = set(sys.modules) - before
+print('numpy' in sys.modules, 'transor.oracle' in new, 'fractions' in new)
+import transor.oracle
 transor.oracle.brute_force_orientations(transor.oracle.paw())
 loaded = {name.partition('.')[0] for name in set(sys.modules) - before}
 print(sorted(loaded - set(sys.stdlib_module_names) - {'transor'}))
@@ -287,4 +329,4 @@ print(sorted(loaded - set(sys.stdlib_module_names) - {'transor'}))
 def test_cli_start_up_does_not_import_numpy():
     # Modules loaded before the probe starts (site hooks) are not counted.
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stdout == "False\n[]\n", proc.stdout + proc.stderr
+    assert proc.returncode == 0 and proc.stdout == "False False False\n[]\n", proc.stdout + proc.stderr

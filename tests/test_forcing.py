@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from transor import (
@@ -9,7 +11,14 @@ from transor import (
     directly_forces,
     is_comparability,
 )
-from transor.oracle import brute_force_orientations, fixtures, random_family
+from transor.oracle import (
+    acceptance_corpus,
+    brute_force_orientations,
+    fixtures,
+    implication_classes,
+    random_family,
+    random_graph,
+)
 
 import checks
 
@@ -78,6 +87,25 @@ def test_color_ids_follow_smallest_directed_edge(fx):
     assert firsts == sorted(firsts)
     for c in cmap.colors:
         assert min(c.forward | c.reverse) in c.forward
+
+
+def test_colors_are_the_forcing_closure_past_oracle_scale():
+    # The union-find over neighbourhood co-components against the
+    # definitional BFS, on graphs up to 200 vertices; plus the id rule: each
+    # forward half holds its color's smallest directed edge by vertex index,
+    # and those edges increase with the id.
+    graphs = [g for _, g in acceptance_corpus()]
+    for i, n in enumerate((20, 50, 90, 140, 200)):
+        p = Fraction(1, 2 + 3 * i)
+        graphs += [random_graph(n, p, i), random_graph(n, Fraction(3, n), i)]
+        graphs.append(checks.random_poset_graph(n, p, i))
+    for g in graphs:
+        colors = color_classes(g).colors
+        assert {h for c in colors for h in (c.forward, c.reverse)} == implication_classes(g)
+        idx = g.index
+        firsts = [min((idx[t], idx[h]) for t, h in c.forward | c.reverse) for c in colors]
+        assert all((g.vertices[t], g.vertices[h]) in c.forward for (t, h), c in zip(firsts, colors))
+        assert all(a < b for a, b in zip(firsts, firsts[1:]))
 
 
 def test_comparability_fixtures(fx):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from transor import (
-    DirectedEdge,
     DomainError,
     Graph,
     complement,
@@ -50,12 +49,6 @@ def test_has_edge_rejects_unknown_vertices():
     g = Graph("ab", [("a", "b")])
     with pytest.raises(DomainError):
         g.has_edge("a", "z")
-
-
-def test_directed_edge_reversal():
-    e = DirectedEdge("a", "b")
-    assert e.reversed() == ("b", "a")
-    assert e.tail == "a" and e.head == "b"
 
 
 def test_induced_subgraph_on_paw():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import time
 from itertools import islice
 from math import factorial
 
@@ -265,6 +266,14 @@ def test_deep_tree_needs_no_recursion():
     assert levels == n - 1
     assert count == 2 ** (n // 2)
     assert is_transitive(g, first)
+
+
+def test_threshold_500_counts_within_one_and_a_half_seconds():
+    # 62,500 edges, a tree of depth 499, and 250 two-child series nodes.
+    g = checks.threshold_graph(500)
+    start = time.perf_counter()
+    assert count_orientations(g) == 2**250
+    assert time.perf_counter() - start < 1.5
 
 
 def test_deep_tree_equality_hash_and_repr_need_no_recursion():
