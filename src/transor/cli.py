@@ -236,7 +236,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _non_negative_int(text: str) -> int:
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdecimal()):  # isdecimal alone takes other scripts' digits
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 

@@ -89,8 +89,11 @@ class DecompositionNode:
 
     @property
     def representatives(self) -> list:
-        """The smallest vertex of each child; these are the quotient's vertices."""
-        return [min(child.vertex_set) for child in self.children]
+        """The smallest vertex of each child (the quotient's vertices), computed once."""
+        reps = self.__dict__.get("_representatives")
+        if reps is None:
+            reps = self.__dict__["_representatives"] = [min(child.vertex_set) for child in self.children]
+        return reps
 
     def to_json_dict(self) -> dict:
         done: dict = {}

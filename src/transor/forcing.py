@@ -86,18 +86,19 @@ def directly_forces(e1: tuple, e2: tuple, g: Graph) -> bool:
     return False
 
 
-def color_classes(g: Graph) -> ColorMap:
-    """Partition the directed edges into implication classes and pair them into colors.
+def _edge_classes(g: Graph) -> tuple[list[dict], list[int], dict]:
+    """The implication classes as union-find labels, by vertex index.
 
     (t,h) and (t,h') share a class exactly when h, h' share a co-component of
-    N(t); (t,h) and (t',h) exactly when t, t' share one of N(h).  A union-find
-    joins each edge's group at its tail to its group at its head: one mask BFS
-    per vertex and O(|E|) steps.  Edges are read in vertex order, so each
-    color's id and canonical forward half are deterministic.
+    N(t); (t,h) and (t',h) exactly when t, t' share one of N(h).  With
+    ``group[t][h] = k`` when h lies in co-component k of N(t), union-find node
+    2k holds t's out-edges into it and 2k + 1 their reverses; each edge joins
+    its tail's out-node to its head's in-node.  (t,h) lies in class
+    ``root[2 * group[t][h]]``; ``inverse`` maps a class to its reverses'.
+    One mask BFS per vertex and O(|E|) steps.
     """
-    vs = g.vertices
     masks = g.adjacency_masks()
-    group: list[dict] = []  # group[t][h] = k: h lies in co-component k of N(t)
+    group: list[dict] = []
     k = 0
     for m in masks:
         group.append({})
@@ -107,7 +108,7 @@ def color_classes(g: Graph) -> ColorMap:
                 group[-1][b.bit_length() - 1] = k
                 comp ^= b
             k += 1
-    parent = list(range(2 * k))  # 2k: co-component k's out-edges, 2k + 1: its in-edges
+    parent = list(range(2 * k))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -117,23 +118,47 @@ def color_classes(g: Graph) -> ColorMap:
     for t, of in enumerate(group):
         for h, kt in of.items():
             parent[find(2 * kt)] = find(2 * group[h][t] + 1)
-    halves: dict = {}  # class root -> its edges, or None for the reverse of a color
+    root = parent
+    while (hop := [root[x] for x in root]) != root:  # pointer jumping to the roots
+        root = hop
+    return group, root, _reverse_classes(root)
+
+
+def _reverse_classes(root: list[int]) -> dict:
+    # Node 2k + 1 holds the reverses of node 2k's edges and a class is a union
+    # of nodes, so a class's reverses lie in one class exactly when every node
+    # pair maps the two classes alike.  A class mapped to itself is self-inverse.
+    inverse: dict = {}
+    nodes = iter(root)
+    for a, b in zip(nodes, nodes):  # (root[2k], root[2k + 1]) for each k
+        if inverse.setdefault(a, b) != b or inverse.setdefault(b, a) != a:
+            raise InvariantError("an implication class reverses into two classes")
+    return inverse
+
+
+def color_classes(g: Graph) -> ColorMap:
+    """Partition the directed edges into implication classes and pair them into colors.
+
+    The classes are ``_edge_classes``'s; edges are read in vertex order, so
+    each color's id and canonical forward half (the class of its smallest
+    directed edge) are deterministic.
+    """
+    vs, index = g.vertices, g.index
+    group, root, inverse = _edge_classes(g)
+    halves: dict = {}  # class -> its edges, or None for the reverse of a color
     for t, of in enumerate(group):
         for h in sorted(of):
-            root = find(2 * of[h])
-            if root not in halves:
-                halves[root] = []
-                halves.setdefault(find(2 * group[h][t]), None)
-            if halves[root] is not None:
-                halves[root].append((vs[t], vs[h]))
+            c = root[2 * of[h]]
+            if c not in halves:
+                halves[c] = []
+                halves.setdefault(inverse[c], None)
+            if halves[c] is not None:
+                halves[c].append((vs[t], vs[h]))
     colors = []
     for comp in filter(None, halves.values()):  # forward halves, in id order
         forward = frozenset(comp)
         reverse = frozenset((y, x) for x, y in comp)
-        self_inverse = bool(forward & reverse)
-        if self_inverse and forward != reverse:
-            raise InvariantError("implication class meets its reverse without equalling it")
-        undirected = frozenset(g.edge_key(x, y) for x, y in forward)
+        undirected = frozenset(e if index[e[0]] < index[e[1]] else e[::-1] for e in forward)
         colors.append(
             ColorClass(
                 id=len(colors),
@@ -141,27 +166,20 @@ def color_classes(g: Graph) -> ColorMap:
                 reverse=reverse,
                 undirected=undirected,
                 span=spanned_vertices(undirected),
-                self_inverse=self_inverse,
+                self_inverse=forward == reverse,
             )
         )
-    edge_to_color: dict = {}
-    for color in colors:
-        for e in color.undirected:
-            if e in edge_to_color:
-                raise InvariantError("edge assigned to two colors")
-            edge_to_color[e] = color.id
-    if len(edge_to_color) != g.edge_count:
-        raise InvariantError("colors do not cover the edge set")
+    edge_to_color = {e: color.id for color in colors for e in color.undirected}
     return ColorMap(graph=g, colors=tuple(colors), edge_to_color=edge_to_color)
 
 
 def is_comparability(g: Graph) -> bool:
     """True iff the graph admits a transitive orientation.
 
-    The verdict is the per-color test (no class equals its reverse).  When it
-    says yes, one concrete orientation is built from the decomposition tree
-    and verified transitive; a failure there is an internal invariant error,
-    never a return value.
+    The verdict reads the union-find labels (no implication class is its own
+    reverse) and builds no ``ColorMap``.  When it says yes, the first
+    orientation of the lift plan is built and verified on bitmasks; a failure
+    there is an internal invariant error, never a return value.
     """
     if g.vertex_count == 0:
         return True

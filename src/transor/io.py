@@ -47,11 +47,19 @@ def parse_edge_list(text: str) -> ParsedGraph:
     return ParsedGraph(Graph(vertices, edges), duplicates)
 
 
+def _natural(token: str) -> int:
+    # ASCII digits only: int() also takes "+1", "1_0" and other scripts' digits.
+    if not (token.isascii() and token.isdecimal()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_dimacs(text: str) -> ParsedGraph:
     """Parse a DIMACS-like file: one "p edge n m" header, then "e u v" lines.
 
     Vertex tokens are the integers 1..n; the header declares them all, so
-    isolated vertices need no extra lines.  'c' lines are comments.
+    isolated vertices need no extra lines.  'c' lines are comments.  Counts
+    and endpoints are ASCII digit strings.
     """
     n: int | None = None
     edges: set = set()
@@ -67,19 +75,17 @@ def parse_dimacs(text: str) -> ParsedGraph:
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise ParseError(f"expected 'p edge n m', got {line!r}", line=lineno)
             try:
-                n = int(tokens[2])
-                int(tokens[3])
+                n = _natural(tokens[2])
+                _natural(tokens[3])
             except ValueError:
-                raise ParseError(f"non-integer counts in {line!r}", line=lineno) from None
-            if n < 0:
-                raise ParseError("negative vertex count", line=lineno)
+                raise ParseError(f"counts must be non-negative integers in {line!r}", line=lineno) from None
         elif tokens[0] == "e":
             if n is None:
                 raise ParseError("edge line before the problem line", line=lineno)
             if len(tokens) != 3:
                 raise ParseError(f"expected 'e u v', got {line!r}", line=lineno)
             try:
-                u, v = int(tokens[1]), int(tokens[2])
+                u, v = _natural(tokens[1]), _natural(tokens[2])
             except ValueError:
                 raise ParseError(f"non-integer endpoint in {line!r}", line=lineno) from None
             if not (1 <= u <= n and 1 <= v <= n):

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from .decomposition import DecompositionNode, PRIME, SERIES, _charge_edges, decomposition_tree
 from .errors import DomainError, InvariantError
-from .forcing import ColorMap, color_classes
+from .forcing import _edge_classes
 from .graph import Graph
 
 
@@ -57,7 +57,7 @@ class Orientation:
                 raise DomainError(f"{pair!r} is not an edge of the graph")
             directed.add((tail, head))
         o = cls(frozenset(directed))
-        _validate_domain(g, o)
+        _witness(g, o.directed, DomainError)
         return o
 
 
@@ -76,50 +76,61 @@ class NodeChoice:
     use_reverse: bool | None = None
 
 
-def _validate_domain(g: Graph, o: Orientation) -> None:
-    undirected = set()
-    for t, h in o.directed:
-        if not g.has_edge(t, h):
-            raise DomainError(f"({t!r},{h!r}) is not an edge of the graph")
-        undirected.add(g.edge_key(t, h))
-    if len(o.directed) != g.edge_count or undirected != set(g.edges):
-        raise DomainError("orientation does not cover each edge exactly once")
+def _witness(g: Graph, pairs: Iterable, error: type[Exception]) -> bool:
+    # Raise ``error`` unless the (tail, head) pairs orient every edge of g
+    # exactly once: per vertex, out- and in-neighbour masks are disjoint and
+    # together its adjacency mask.  Then transitive iff succ[h] lies within
+    # succ[t] for every pair t->h.
+    index = g.index
+    succ = [0] * len(index)
+    pred = succ.copy()
+    arcs = []
+    for t, h in pairs:
+        try:
+            i, j = index[t], index[h]
+        except KeyError:
+            raise error(f"({t!r},{h!r}) is not an edge of the graph") from None
+        succ[i] |= 1 << j
+        pred[j] |= 1 << i
+        arcs.append((i, j))
+    if any(s & p or s | p != m for s, p, m in zip(succ, pred, g.adjacency_masks())):
+        raise error("orientation does not cover each edge exactly once")
+    return all(not succ[j] & ~succ[i] for i, j in arcs)
 
 
 def is_transitive(g: Graph, o: Orientation) -> bool:
-    """True iff every directed path x->y->z closes with the edge x->z."""
-    _validate_domain(g, o)
-    succ: dict = {v: set() for v in g.vertices}
-    for t, h in o.directed:
-        succ[t].add(h)
-    for t, h in o.directed:
-        if not succ[h] <= succ[t]:
-            return False
-    return True
+    """True iff every directed path x->y->z closes with the edge x->z.
+
+    ``DomainError`` unless ``o`` orients every edge of g exactly once."""
+    return _witness(g, o.directed, DomainError)
 
 
 class _LiftPlan:
     """Per-node cross-edge blocks, precomputed once per tree for fast lifting.
 
-    A prime node's crossing edges are one host color; on the representatives,
-    its forward half is the canonical half of the quotient's single color."""
+    A prime node's crossing edges are one host color, which no edge outside
+    them shares (children and node are modules), so its canonical half is
+    the class of its smallest crossing edge: from the first representative to
+    the first one joined to it.  Read from ``_edge_classes`` labels."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, g: Graph, tree: DecompositionNode, cmap: ColorMap):
+    def __init__(self, g: Graph, tree: DecompositionNode, classes: tuple):
         # entries: path -> (kind, child count, block map, prime edge directions)
+        group, root, inverse = classes
+        index = g.index
         self.entries: dict[tuple[int, ...], tuple] = {}
         for path, node, blocks in _charge_edges(g, tree):
             dirs = None
             if node.kind == PRIME:
-                reps = node.representatives
-                ids = {cmap.color_of(reps[i], reps[j]) for i, j in blocks}
-                if len(ids) != 1:
+                reps = [index[r] for r in node.representatives]
+                label = {(i, j): root[2 * group[reps[i]][reps[j]]] for i, j in blocks}
+                forward = label[min(blocks)]
+                if not set(label.values()) <= {forward, inverse[forward]}:
                     raise InvariantError("prime quotient does not have a single color")
-                color = cmap.colors[ids.pop()]
-                if color.self_inverse:
+                if inverse[forward] == forward:
                     raise DomainError("prime quotient is not transitively orientable")
-                dirs = {(i, j): (reps[i], reps[j]) in color.forward for i, j in blocks}
+                dirs = {ij: c == forward for ij, c in label.items()}
             self.entries[path] = (node.kind, len(node.children), blocks, dirs)
 
     def apply(self, choices: Iterable[NodeChoice]) -> Orientation:
@@ -166,19 +177,20 @@ def materialize(g: Graph, tree: DecompositionNode, choices: Iterable[NodeChoice]
     permutation; prime blocks copy the direction their quotient edge takes in
     the chosen half of the quotient's color class.
     """
-    return _LiftPlan(g, tree, color_classes(g)).apply(choices)
+    return _LiftPlan(g, tree, _edge_classes(g)).apply(choices)
 
 
 def _analyze(g: Graph, shuffle: random.Random | None = None) -> _LiftPlan | None:
-    """The one analysis behind the verdict, the count and the enumeration:
-    None when a color class meets its reverse, else the lift plan of one tree,
-    whose first orientation is verified transitive.  Needs a vertex."""
-    cmap = color_classes(g)
-    if any(c.self_inverse for c in cmap.colors):
+    """The one analysis behind the verdict, the count and the enumeration.
+
+    Reads union-find class labels, builds no ``ColorMap``: None when some
+    class is its own reverse, else the lift plan of one tree, whose first
+    orientation is verified on bitmasks (``InvariantError``).  Needs a vertex."""
+    classes = _edge_classes(g)
+    if any(c == r for c, r in classes[2].items()):  # a class that is its own reverse
         return None
-    tree = decomposition_tree(g, shuffle=shuffle)
-    plan = _LiftPlan(g, tree, cmap)
-    if not is_transitive(g, plan.apply(next(_choice_product(plan)))):
+    plan = _LiftPlan(g, decomposition_tree(g, shuffle=shuffle), classes)
+    if not _witness(g, plan.apply(next(_choice_product(plan))).directed, InvariantError):
         raise InvariantError("constructed orientation failed the transitivity check")
     return plan
 

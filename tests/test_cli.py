@@ -176,6 +176,29 @@ def test_negative_limit_is_a_usage_error_on_both_paths(write, capsys):
         assert code == 0 and out == ""
 
 
+def test_numerals_are_ascii_digits_only(tmp_path, capsys):
+    # --limit and every DIMACS count and endpoint: a sign, a digit separator
+    # or another script's digits (U+0663 is ARABIC-INDIC DIGIT THREE) exit 64.
+    path = tmp_path / "k3.edges"
+    path.write_text(K3, encoding="utf-8")
+    for limit in ("\u0663", "+3", "1_0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--limit", limit, str(path)])
+        assert exc.value.code == 64
+        assert "non-negative integer" in capsys.readouterr().err
+    for text in (
+        "p edge 1_0 0\n",
+        "p edge \u0663 1\n",
+        "p edge 3 +1\ne 1 2\n",
+        "p edge 3 1\ne +1 2\n",
+        "p edge 3 1\ne 1 \u0662\n",
+        "p edge -1 0\n",
+    ):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "count", str(path))
+        assert (code, out) == (64, "") and err.startswith("error: "), text
+
+
 def test_oracle_compare_refuses_large_input(write, capsys):
     lines = [f"v{i} v{j}" for i in range(8) for j in range(i + 1, 8)]
     code, _, err = run(capsys, "oracle-compare", write("k8.edges", "\n".join(lines)))

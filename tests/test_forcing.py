@@ -8,9 +8,12 @@ from transor import (
     DomainError,
     check_triangle_lemma,
     color_classes,
+    decomposition_tree,
     directly_forces,
     is_comparability,
 )
+from transor.decomposition import PRIME
+from transor.orientation import _analyze
 from transor.oracle import (
     acceptance_corpus,
     brute_force_orientations,
@@ -89,23 +92,51 @@ def test_color_ids_follow_smallest_directed_edge(fx):
         assert min(c.forward | c.reverse) in c.forward
 
 
-def test_colors_are_the_forcing_closure_past_oracle_scale():
-    # The union-find over neighbourhood co-components against the
-    # definitional BFS, on graphs up to 200 vertices; plus the id rule: each
-    # forward half holds its color's smallest directed edge by vertex index,
-    # and those edges increase with the id.
+def past_oracle_scale_graphs() -> list:
+    # The acceptance corpus plus seeded random and poset graphs, n = 20-200.
     graphs = [g for _, g in acceptance_corpus()]
     for i, n in enumerate((20, 50, 90, 140, 200)):
         p = Fraction(1, 2 + 3 * i)
         graphs += [random_graph(n, p, i), random_graph(n, Fraction(3, n), i)]
         graphs.append(checks.random_poset_graph(n, p, i))
-    for g in graphs:
+    return graphs
+
+
+def test_colors_are_the_forcing_closure_past_oracle_scale():
+    # The union-find over neighbourhood co-components against the
+    # definitional BFS, on graphs up to 200 vertices; plus the id rule: each
+    # forward half holds its color's smallest directed edge by vertex index,
+    # and those edges increase with the id.
+    for g in past_oracle_scale_graphs():
         colors = color_classes(g).colors
         assert {h for c in colors for h in (c.forward, c.reverse)} == implication_classes(g)
         idx = g.index
         firsts = [min((idx[t], idx[h]) for t, h in c.forward | c.reverse) for c in colors]
         assert all((g.vertices[t], g.vertices[h]) in c.forward for (t, h), c in zip(firsts, colors))
         assert all(a < b for a, b in zip(firsts, firsts[1:]))
+
+
+def test_analysis_labels_agree_with_the_color_map():
+    # The verdict, count and enumeration read union-find labels, not the
+    # ColorMap: the verdict must be "no self-inverse color", and a prime
+    # node's block directions the forward half of its representatives' color.
+    primes = 0
+    for g in past_oracle_scale_graphs():
+        cmap = color_classes(g)
+        plan = _analyze(g) if g.vertex_count else None
+        assert (plan is None) == any(c.self_inverse for c in cmap.colors)
+        if plan is None:
+            continue
+        nodes = dict(decomposition_tree(g).walk_with_paths())
+        for path, (kind, _, _, dirs) in plan.entries.items():
+            if kind != PRIME:
+                continue
+            primes += 1
+            reps = nodes[path].representatives
+            for (i, j), forward in dirs.items():
+                u, v = reps[i], reps[j]
+                assert forward == ((u, v) in cmap.colors[cmap.color_of(u, v)].forward)
+    assert primes > 100
 
 
 def test_comparability_fixtures(fx):

@@ -10,16 +10,20 @@ import pytest
 from transor import (
     DomainError,
     Graph,
+    InvariantError,
     NodeChoice,
     Orientation,
+    color_classes,
     count_orientations,
     decomposition_tree,
     default_choices,
     enumerate_orientations,
+    is_comparability,
     is_transitive,
     materialize,
     strong_modules_of_order,
 )
+from transor import forcing, orientation
 from transor.errors import OracleScaleError
 from transor.oracle import complete_graph, fixtures
 
@@ -140,6 +144,67 @@ def test_is_transitive_rejects_domain_mismatch(fx):
             paw,
             Orientation(frozenset([("a", "b"), ("b", "a"), ("a", "c"), ("a", "d")])),
         )
+
+
+# check, count and enumerate, each run to its first answer
+VERBS = (is_comparability, count_orientations, lambda g: next(enumerate_orientations(g)))
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [("reversed block", "transitivity"), ("dropped edge", "exactly once"), ("both directions", "exactly once")],
+)
+def test_faulty_first_orientation_is_an_invariant_error(fx, monkeypatch, fault, message):
+    # The witness must catch a lift plan whose first orientation is wrong:
+    # on P4 (one prime node) reversing the block a-b leaves c->b->a open.
+    apply = orientation._LiftPlan.apply
+
+    def faulty(self, choices):
+        directed = set(apply(self, choices).directed)
+        block = next(iter(next(iter(self.entries.values()))[2].values()))
+        arcs = {e if e in directed else e[::-1] for e in block}
+        if fault == "reversed block":
+            directed = (directed - arcs) | {(h, t) for t, h in arcs}
+        elif fault == "dropped edge":
+            directed -= {min(arcs)}
+        else:
+            directed |= {min(arcs)[::-1]}
+        return Orientation(frozenset(directed))
+
+    monkeypatch.setattr(orientation._LiftPlan, "apply", faulty)
+    for verb in VERBS:
+        with pytest.raises(InvariantError, match=message):
+            verb(fx["p4"])
+
+
+def test_a_class_reversing_into_two_classes_is_an_invariant_error(fx, monkeypatch):
+    # Relabel one union-find node: its class's reverses then lie in two
+    # classes, which every verb must refuse rather than answer.
+    original = forcing._reverse_classes
+    monkeypatch.setattr(forcing, "_reverse_classes", lambda root: original([-1] + root[1:]))
+    for verb in (color_classes, *VERBS):
+        with pytest.raises(InvariantError, match="reverses into two classes"):
+            verb(fx["paw"])
+
+
+def test_prime_blocks_in_two_colors_are_an_invariant_error(fx, monkeypatch):
+    # Labels from a union-find that joined nothing: P4's three prime blocks
+    # then lie in three colors, which the lift plan must refuse.
+    def unjoined(g):
+        group, root, _ = forcing._edge_classes(g)
+        root = list(range(len(root)))
+        return group, root, forcing._reverse_classes(root)
+
+    monkeypatch.setattr(orientation, "_edge_classes", unjoined)
+    for verb in VERBS:
+        with pytest.raises(InvariantError, match="single color"):
+            verb(fx["p4"])
+
+
+def test_materialize_refuses_a_self_inverse_prime_color(fx):
+    c5 = fx["c5"]
+    with pytest.raises(DomainError, match="not transitively orientable"):
+        materialize(c5, decomposition_tree(c5), [NodeChoice((), use_reverse=False)])
 
 
 def test_orientation_round_trip(fx):
