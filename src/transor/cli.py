@@ -19,7 +19,7 @@ from .forcing import color_classes, is_comparability
 from .graph import Graph
 from .io import parse_graph
 from .multiplex import multiplex_partition
-from .orientation import Orientation, count_orientations, enumerate_orientations, is_transitive
+from .orientation import Orientation, _read_pairs, count_orientations, enumerate_orientations
 
 
 def _read_input(path: str) -> str:
@@ -173,10 +173,9 @@ def _cmd_verify(args) -> int:
     ):
         raise ParseError("orientation file must be a JSON list of [tail, head] pairs")
     try:
-        o = Orientation.from_pairs(g, pairs)
+        _, verdict = _read_pairs(g, pairs)  # Orientation.from_pairs's checks, plus the verdict
     except DomainError as exc:
         raise ParseError(str(exc)) from None
-    verdict = is_transitive(g, o)
     print(f"transitive: {'true' if verdict else 'false'}")
     return 0 if verdict else 1
 

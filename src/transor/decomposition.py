@@ -296,14 +296,15 @@ def decomposition_tree(g: Graph, *, shuffle: random.Random | None = None) -> Dec
 def _charge_edges(g: Graph, tree: DecompositionNode) -> list[tuple]:
     """Charge every edge to the one node whose children separate its ends.
 
-    ``(path, node, blocks)`` per series and prime node in pre-order; ``blocks``
-    maps child pairs ``(i, j)``, ``i < j``, with adjacent representatives to
-    their edges ``(u, v)``, ``u`` in child ``i``.  The charges must partition
-    E, and a parallel node's representatives must be pairwise non-adjacent."""
+    ``(path, node, members, blocks)`` per series and prime node in pre-order;
+    ``members[i]`` lists the vertices of child ``i``, and ``blocks`` the child
+    index pairs ``(i, j)``, ``i < j``, whose representatives are adjacent:
+    every member of child ``i`` is adjacent to every member of child ``j``,
+    as the host masks prove.  The charges must partition E, and a parallel
+    node's representatives must be pairwise non-adjacent."""
     if tree.vertex_set != frozenset(g.vertices):
         raise InvariantError("edge endpoint missing from the tree")
     index = g.index
-    edges = g.edges
     masks = g.adjacency_masks()
     charged = 0
     out = []
@@ -319,25 +320,34 @@ def _charge_edges(g: Graph, tree: DecompositionNode) -> list[tuple]:
             if seen & rep_mask:
                 raise InvariantError("parallel node received crossing edges")
             continue
+        members = []
+        within = []  # each child's vertex mask
+        common = []  # the vertices adjacent to every member of each child
+        for child in node.children:
+            vs = list(child.vertex_set)
+            m, every = 0, -1
+            for v in vs:
+                u = index[v]
+                m |= 1 << u
+                every &= masks[u]
+            members.append(vs)
+            within.append(m)
+            common.append(every)
         child_of = {r: i for i, r in enumerate(reps)}
-        blocks = {}
+        blocks = []
         for i, r in enumerate(reps):
             joined = masks[r] & (rep_mask >> (r + 1) << (r + 1))  # representatives of later children
             while joined:
                 b = joined & -joined
                 joined ^= b
                 j = child_of[b.bit_length() - 1]
-                block = []
-                for u in node.children[i].vertex_set:
-                    for v in node.children[j].vertex_set:
-                        if ((u, v) if index[u] < index[v] else (v, u)) not in edges:
-                            raise InvariantError("a quotient edge lifts to a non-edge")
-                        block.append((u, v))
-                blocks[(i, j)] = block
-                charged += len(block)
+                if common[i] & within[j] != within[j]:
+                    raise InvariantError("a quotient edge lifts to a non-edge")
+                blocks.append((i, j))
+                charged += len(members[i]) * len(members[j])
         if not blocks:
             raise InvariantError(f"{node.kind} node received no crossing edges")
-        out.append((path, node, blocks))
+        out.append((path, node, members, blocks))
     if charged != g.edge_count:
         raise InvariantError("charged edges do not cover E")
     return out

@@ -51,8 +51,8 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
     if cmap is None:
         cmap = color_classes(g)
     result = []
-    for path, node, blocks in _charge_edges(g, tree):
-        edges = frozenset(g.edge_key(u, v) for block in blocks.values() for u, v in block)
+    for path, node, members, blocks in _charge_edges(g, tree):
+        edges = frozenset(g.edge_key(u, v) for i, j in blocks for u in members[i] for v in members[j])
         rank = len(node.children) - 1 if node.kind == SERIES else 1
         result.append(
             Multiplex(

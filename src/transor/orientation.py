@@ -10,9 +10,10 @@ product of per-node choices in a fixed lexicographic order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from itertools import islice, permutations
+from dataclasses import dataclass, field
+from itertools import compress, islice, permutations, product
 from math import factorial, prod
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .decomposition import DecompositionNode, PRIME, SERIES, _charge_edges, decomposition_tree
@@ -23,9 +24,15 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class Orientation:
-    """A full assignment of one direction per edge of a host graph."""
+    """A full assignment of one direction per edge of a host graph.
+
+    ``json_pairs`` lists the ``to_json`` output as (tail, head) string
+    tuples, already in sorted order; ``enumerate_orientations`` fills it
+    from its lift plan's output tables.  It takes no part in equality,
+    hashing or ``repr``, which read ``directed`` only."""
 
     directed: frozenset
+    json_pairs: list | None = field(default=None, compare=False, repr=False)
 
     def direction_of(self, u, v) -> tuple:
         if (u, v) in self.directed:
@@ -38,27 +45,40 @@ class Orientation:
         return sorted(self.directed)
 
     def to_json(self) -> list[list[str]]:
+        """Fresh ``[tail, head]`` string lists in (tail, head) vertex order.
+
+        Copied from ``json_pairs`` when the orientation carries them (the
+        enumeration stream); otherwise ``directed`` is sorted here."""
+        if self.json_pairs is not None:
+            return list(map(list, self.json_pairs))
         return [[str(t), str(h)] for t, h in self.sorted_pairs()]
 
     @classmethod
     def from_pairs(cls, g: Graph, pairs: Iterable) -> "Orientation":
-        """Build from (tail, head) pairs whose tokens may be strings of g's vertices."""
-        by_name = {str(v): v for v in g.vertices}
-        if len(by_name) != g.vertex_count:
-            raise DomainError("vertex names are ambiguous under str()")
-        directed = set()
-        for pair in pairs:
-            t, h = pair
-            tail = by_name.get(str(t))
-            head = by_name.get(str(h))
-            if tail is None or head is None:
-                raise DomainError(f"unknown vertex in pair {pair!r}")
-            if not g.has_edge(tail, head):
-                raise DomainError(f"{pair!r} is not an edge of the graph")
-            directed.add((tail, head))
-        o = cls(frozenset(directed))
-        _witness(g, o.directed, DomainError)
-        return o
+        """Build from (tail, head) pairs whose tokens may be strings of g's vertices.
+
+        ``DomainError`` unless they orient every edge of g exactly once."""
+        return cls(_read_pairs(g, pairs)[0])
+
+
+def _read_pairs(g: Graph, pairs: Iterable) -> tuple[frozenset, bool]:
+    # The directed edges named by (tail, head) pairs, checked like
+    # ``Orientation.from_pairs``, and whether they are transitive: one witness.
+    by_name = {str(v): v for v in g.vertices}
+    if len(by_name) != g.vertex_count:
+        raise DomainError("vertex names are ambiguous under str()")
+    directed = set()
+    for pair in pairs:
+        t, h = pair
+        tail = by_name.get(str(t))
+        head = by_name.get(str(h))
+        if tail is None or head is None:
+            raise DomainError(f"unknown vertex in pair {pair!r}")
+        if not g.has_edge(tail, head):
+            raise DomainError(f"{pair!r} is not an edge of the graph")
+        directed.add((tail, head))
+    directed = frozenset(directed)
+    return directed, _witness(g, directed, DomainError)
 
 
 @dataclass(frozen=True)
@@ -105,58 +125,107 @@ def is_transitive(g: Graph, o: Orientation) -> bool:
     return _witness(g, o.directed, DomainError)
 
 
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 class _LiftPlan:
-    """Per-node cross-edge blocks, precomputed once per tree for fast lifting.
+    """The 2|E| directed edges laid out once per tree, for lifting choices.
+
+    Node by node in pre-order, each charged child block (i, j) takes a
+    forward run of slots (child i to child j) and then a reverse run.  An
+    orientation is a byte selector over ``slots``, one precomputed piece per
+    node in the same order: a series node gives, per block, the bytes that
+    select the run its permutation picks; a prime node gives one of two
+    byte strings for its whole range.  The slot order follows the tree, not
+    the (tail, head) order of the output: ``build_output_tables`` adds the
+    gather that sorts it.
 
     A prime node's crossing edges are one host color, which no edge outside
     them shares (children and node are modules), so its canonical half is
     the class of its smallest crossing edge: from the first representative to
     the first one joined to it.  Read from ``_edge_classes`` labels."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "slots", "output")
 
     def __init__(self, g: Graph, tree: DecompositionNode, classes: tuple):
-        # entries: path -> (kind, child count, block map, prime edge directions)
+        # entries: path -> (kind, child count, pieces).  A series node keeps
+        # (i, j, run) per block, where run[False] selects the block's forward
+        # run and run[True] its reverse run; a prime node keeps its canonical
+        # and its reverse selector.
         group, root, inverse = classes
         index = g.index
         self.entries: dict[tuple[int, ...], tuple] = {}
-        for path, node, blocks in _charge_edges(g, tree):
-            dirs = None
+        self.output: tuple | None = None
+        self.slots: list = []
+        lay = self.slots.extend
+        runs: dict[int, tuple[bytes, bytes]] = {}  # block size -> its two run selectors
+        for path, node, members, blocks in _charge_edges(g, tree):
+            pieces = []
+            for i, j in blocks:
+                lay(product(members[i], members[j]))
+                lay(product(members[j], members[i]))
+                n = len(members[i]) * len(members[j])
+                run = runs.get(n)
+                if run is None:
+                    run = runs[n] = (b"\1" * n + b"\0" * n, b"\0" * n + b"\1" * n)
+                pieces.append((i, j, run))
             if node.kind == PRIME:
                 reps = [index[r] for r in node.representatives]
-                label = {(i, j): root[2 * group[reps[i]][reps[j]]] for i, j in blocks}
-                forward = label[min(blocks)]
-                if not set(label.values()) <= {forward, inverse[forward]}:
+                label = [root[2 * group[reps[i]][reps[j]]] for i, j in blocks]
+                forward = label[0]
+                if not set(label) <= {forward, inverse[forward]}:
                     raise InvariantError("prime quotient does not have a single color")
                 if inverse[forward] == forward:
                     raise DomainError("prime quotient is not transitively orientable")
-                dirs = {ij: c == forward for ij, c in label.items()}
-            self.entries[path] = (node.kind, len(node.children), blocks, dirs)
+                canonical = b"".join([run[c != forward] for (_, _, run), c in zip(pieces, label)])
+                pieces = (canonical, canonical.translate(_FLIP))
+            self.entries[path] = (node.kind, len(node.children), pieces)
+
+    def build_output_tables(self, g: Graph) -> None:
+        """Let ``apply`` hand each orientation its ``to_json`` pairs.
+
+        The gather puts the slots in (tail, head) vertex-index order, which
+        is the sorted token order; each slot's string pair is built from one
+        ``str`` per vertex.  An edgeless graph has nothing to sort."""
+        if not self.slots:
+            return
+        index = g.index
+        n = len(index)
+        keys = [index[t] * n + index[h] for t, h in self.slots]
+        gather = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
+        name = {v: str(v) for v in g.vertices}
+        self.output = (gather, [(name[t], name[h]) for t, h in gather(self.slots)])
 
     def apply(self, choices: Iterable[NodeChoice]) -> Orientation:
         chosen = {c.path: c for c in choices}
-        if set(chosen) != set(self.entries):
-            missing = set(self.entries) - set(chosen)
-            extra = set(chosen) - set(self.entries)
+        if chosen.keys() != self.entries.keys():
+            missing = self.entries.keys() - chosen.keys()
+            extra = chosen.keys() - self.entries.keys()
             raise DomainError(
                 f"choices do not match the tree (missing {sorted(missing)}, extra {sorted(extra)})"
             )
-        directed = []
-        for path, (kind, k, pair_blocks, dirs) in self.entries.items():
+        parts = []  # one selector piece per block or prime node, in slot order
+        for path, (kind, k, pieces) in self.entries.items():
             choice = chosen[path]
             if kind == SERIES:
                 perm = choice.permutation
                 if perm is None or sorted(perm) != list(range(k)):
                     raise DomainError(f"series node {path} needs a permutation of {k} children")
                 pos = {child: rank for rank, child in enumerate(perm)}
+                for i, j, run in pieces:
+                    parts.append(run[pos[i] > pos[j]])
             elif choice.use_reverse is None:
                 raise DomainError(f"prime node {path} needs a direction flag")
-            for (i, j), es in pair_blocks.items():
-                if pos[i] < pos[j] if kind == SERIES else dirs[(i, j)] != choice.use_reverse:
-                    directed.extend(es)
-                else:
-                    directed.extend((v, u) for u, v in es)
-        return Orientation(frozenset(directed))
+            else:
+                parts.append(pieces[1] if choice.use_reverse else pieces[0])
+        sel = b"".join(parts)
+        directed = frozenset(compress(self.slots, sel))
+        if self.output is None:
+            return Orientation(directed)
+        gather, pairs = self.output
+        # A list: small tuples freed once per orientation linger in the
+        # interpreter's free lists, which raised the peak memory of a stream.
+        return Orientation(directed, list(compress(pairs, gather(sel))))
 
 
 def default_choices(tree: DecompositionNode) -> list[NodeChoice]:
@@ -202,7 +271,7 @@ def count_orientations(g: Graph) -> int:
     plan = _analyze(g)
     if plan is None:
         return 0
-    return prod(factorial(k) if kind == SERIES else 2 for kind, k, _, _ in plan.entries.values())
+    return prod(factorial(k) if kind == SERIES else 2 for kind, k, _ in plan.entries.values())
 
 
 def _choice_product(plan: _LiftPlan) -> Iterator[tuple[NodeChoice, ...]]:
@@ -213,7 +282,7 @@ def _choice_product(plan: _LiftPlan) -> Iterator[tuple[NodeChoice, ...]]:
             return (NodeChoice(path, permutation=perm) for perm in permutations(range(k)))
         return (NodeChoice(path, use_reverse=flag) for flag in (False, True))
 
-    space = [(path, kind, k) for path, (kind, k, _, _) in plan.entries.items()]
+    space = [(path, kind, k) for path, (kind, k, _) in plan.entries.items()]
     digits = [options(*node) for node in space]
     combo = [next(d) for d in digits]
     while True:
@@ -240,7 +309,10 @@ def enumerate_orientations(
     lexicographic order of child representatives and prime nodes emit the
     canonical half before its reverse.  A non-comparability graph yields an
     empty stream.  The cartesian product is generated lazily, so a ``limit``
-    makes even astronomically large spaces cheap.
+    makes even astronomically large spaces cheap.  Each orientation carries
+    its ``to_json`` pairs, gathered from the lift plan's slot layout into
+    (tail, head) vertex order by output tables built before the first one,
+    so no orientation is sorted.
     """
     if limit is not None and limit <= 0:
         return
@@ -250,5 +322,6 @@ def enumerate_orientations(
     plan = _analyze(g, shuffle)
     if plan is None:
         return
+    plan.build_output_tables(g)
     yield from islice(map(plan.apply, _choice_product(plan)), limit)
 

@@ -51,6 +51,20 @@ def threshold_graph(n: int) -> Graph:
     return Graph(range(n), [(j, i) for i in range(1, n, 2) for j in range(i)])
 
 
+def balanced_cograph(depth: int) -> Graph:
+    # Levels alternate disjoint union and join; the root is a join.
+    n = 2 ** depth
+    edges = []
+    width = 1
+    for level in range(1, depth + 1):
+        width *= 2
+        if (depth - level) % 2 == 0:
+            half = width // 2
+            for lo in range(0, n, width):
+                edges += [(a, b) for a in range(lo, lo + half) for b in range(lo + half, lo + width)]
+    return Graph(range(n), edges)
+
+
 def random_poset_graph(n: int, p: Fraction, seed: int) -> Graph:
     # Comparability graph of the transitive closure of a splitmix64 DAG.
     cut = (p.numerator << 64) // p.denominator

@@ -8,11 +8,11 @@ from itertools import combinations
 
 import pytest
 
-from transor import decomposition_tree
+from transor import decomposition_tree, orientation
 from transor.cli import main
 from transor.io import parse_graph
 
-from checks import threshold_graph
+from checks import balanced_cograph, threshold_graph
 
 PAW = "a b\na c\na d\nb c\n"
 C5 = "a b\nb c\nc d\nd e\ne a\n"
@@ -153,6 +153,21 @@ def test_verify_verdicts(write, capsys):
     assert code == 64 and "error" in err
 
 
+def test_verify_runs_the_witness_once(write, capsys, monkeypatch):
+    calls = []
+    witness = orientation._witness
+
+    def counted(*args):
+        calls.append(args)
+        return witness(*args)
+
+    monkeypatch.setattr(orientation, "_witness", counted)
+    graph = write("paw.edges", PAW)
+    good = write("good.json", '[["a","b"],["a","c"],["a","d"],["b","c"]]')
+    code, out, _ = run(capsys, "verify", "--orientation", good, graph)
+    assert (code, out, len(calls)) == (0, "transitive: true\n", 1)
+
+
 def test_oracle_compare_agreement(write, capsys):
     code, out, _ = run(capsys, "oracle-compare", write("paw.edges", PAW))
     assert code == 0 and out.startswith("agreement")
@@ -282,6 +297,26 @@ def test_byte_identical_across_processes_and_hash_seeds(write):
             assert proc.returncode == 0
             blob += proc.stdout
         outputs.add(blob)
+    assert len(outputs) == 1
+
+
+def test_enumerate_bytes_do_not_follow_the_slot_layout(write):
+    # The lift plan lays its slots out in frozenset iteration order, which
+    # string hashing changes; the printed pairs must not change with it.
+    # A 64-vertex cograph with string names: 1344 edges, composite children.
+    import os
+
+    g = balanced_cograph(6)
+    path = write("cograph64.edges", "".join(f"v{u} v{w}\n" for u, w in g.sorted_edges()))
+    outputs = set()
+    for hashseed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "transor.cli", "enumerate", "--limit", "5", path],
+            capture_output=True,
+            env=dict(os.environ, PYTHONHASHSEED=hashseed),
+        )
+        assert proc.returncode == 0 and proc.stdout.count(b"\n") == 5
+        outputs.add(proc.stdout)
     assert len(outputs) == 1
 
 

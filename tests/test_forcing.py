@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,7 @@ from transor import (
     is_comparability,
 )
 from transor.decomposition import PRIME
-from transor.orientation import _analyze
+from transor.orientation import _analyze, _choice_product
 from transor.oracle import (
     acceptance_corpus,
     brute_force_orientations,
@@ -128,14 +129,14 @@ def test_analysis_labels_agree_with_the_color_map():
         if plan is None:
             continue
         nodes = dict(decomposition_tree(g).walk_with_paths())
-        for path, (kind, _, _, dirs) in plan.entries.items():
+        canonical = plan.apply(next(_choice_product(plan))).directed  # every prime node's first half
+        for path, (kind, _, _) in plan.entries.items():
             if kind != PRIME:
                 continue
             primes += 1
-            reps = nodes[path].representatives
-            for (i, j), forward in dirs.items():
-                u, v = reps[i], reps[j]
-                assert forward == ((u, v) in cmap.colors[cmap.color_of(u, v)].forward)
+            for u, v in combinations(nodes[path].representatives, 2):
+                if g.has_edge(u, v):
+                    assert ((u, v) in canonical) == ((u, v) in cmap.colors[cmap.color_of(u, v)].forward)
     assert primes > 100
 
 

@@ -16,7 +16,7 @@ from transor import Graph
 from transor.cli import main
 from transor.oracle import complete_graph, fixtures
 
-from checks import random_poset_graph, threshold_graph
+from checks import balanced_cograph, random_poset_graph, threshold_graph
 
 VERBS = (
     ["colors"],
@@ -27,20 +27,6 @@ VERBS = (
     ["count"],
     ["enumerate"],
 )
-
-
-def balanced_cograph(depth: int) -> Graph:
-    # Levels alternate disjoint union and join; the root is a join.
-    n = 2 ** depth
-    edges = []
-    width = 1
-    for level in range(1, depth + 1):
-        width *= 2
-        if (depth - level) % 2 == 0:
-            half = width // 2
-            for lo in range(0, n, width):
-                edges += [(a, b) for a in range(lo, lo + half) for b in range(lo + half, lo + width)]
-    return Graph(range(n), edges)
 
 
 def golden_graphs() -> dict[str, Graph]:

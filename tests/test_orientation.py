@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import random
 import sys
 import time
+from fractions import Fraction
 from itertools import islice
 from math import factorial
 
@@ -24,8 +26,9 @@ from transor import (
     strong_modules_of_order,
 )
 from transor import forcing, orientation
+from transor.decomposition import LEAF, SERIES, DecompositionNode, _charge_edges
 from transor.errors import OracleScaleError
-from transor.oracle import complete_graph, fixtures
+from transor.oracle import acceptance_corpus, complete_graph, fixtures
 
 import checks
 
@@ -161,7 +164,7 @@ def test_faulty_first_orientation_is_an_invariant_error(fx, monkeypatch, fault, 
 
     def faulty(self, choices):
         directed = set(apply(self, choices).directed)
-        block = next(iter(next(iter(self.entries.values()))[2].values()))
+        block = self.slots[:1]  # the first block's forward run, the edge a-b
         arcs = {e if e in directed else e[::-1] for e in block}
         if fault == "reversed block":
             directed = (directed - arcs) | {(h, t) for t, h in arcs}
@@ -361,3 +364,76 @@ def test_deep_tree_equality_hash_and_repr_need_no_recursion():
         sys.setrecursionlimit(limit)
     assert text == repr(b)
     assert text.startswith("DecompositionNode(vertex_set=frozenset({") and text.count("DecompositionNode(") == 2 * n - 1
+
+
+def _stream_matches_materialize(g: Graph, limit: int | None, seed: int) -> int:
+    # Each streamed orientation, with and without shuffled scans, carries
+    # its sorted directed edges as pairs, and its edges are what materialize
+    # makes of the same choices.
+    plan = orientation._analyze(g)
+    if plan is None:
+        assert list(enumerate_orientations(g, limit)) == []
+        return 0
+    tree = decomposition_tree(g)
+    expected = [materialize(g, tree, c).directed for c in islice(orientation._choice_product(plan), limit)]
+    for shuffle in (None, random.Random(seed)):
+        stream = list(enumerate_orientations(g, limit, shuffle=shuffle))
+        assert [o.directed for o in stream] == expected
+        for o in stream:
+            assert (o.json_pairs is None) == (g.edge_count == 0)
+            assert o.to_json() == [[str(t), str(h)] for t, h in sorted(o.directed)]
+            plain = Orientation(o.directed)
+            assert plain == o and hash(plain) == hash(o) and repr(plain) == repr(o)
+    return len(expected)
+
+
+def test_streamed_pairs_match_sorting_on_the_acceptance_corpus():
+    emitted = sum(_stream_matches_materialize(g, None, i) for i, (_, g) in enumerate(acceptance_corpus()) if g.vertex_count)
+    assert emitted > 3000
+
+
+@pytest.mark.parametrize("n", [20, 60, 120])
+def test_streamed_pairs_match_sorting_past_oracle_scale(n):
+    graphs = [
+        checks.random_poset_graph(n, Fraction(1, 6), n),
+        checks.threshold_graph(n),
+        checks.balanced_cograph(n.bit_length() - 1),  # 16, 32 and 64 vertices
+    ]
+    for g in graphs:
+        assert _stream_matches_materialize(g, 40, n) == min(40, count_orientations(g))
+
+
+def test_to_json_returns_fresh_lists(fx):
+    o = next(enumerate_orientations(fx["paw"]))
+    first = o.to_json()
+    first[0][0] = "z"
+    first.pop()
+    assert o.to_json() == [["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"]]
+
+
+def test_count_and_check_build_no_output_tables(fx, monkeypatch):
+    def refuse(self, g):
+        raise AssertionError("output tables built")
+
+    monkeypatch.setattr(orientation._LiftPlan, "build_output_tables", refuse)
+    for g in (fx["paw"], fx["p4"], fx["k4"], checks.threshold_graph(30)):
+        count_orientations(g)
+        is_comparability(g)
+    with pytest.raises(AssertionError, match="output tables built"):
+        next(enumerate_orientations(fx["paw"]))
+
+
+def test_a_series_child_that_is_not_a_module_is_an_invariant_error():
+    # P3 a-b-c under a hand-built series root with children {a} and {b, c}:
+    # the representatives a and b are adjacent, but a and c are not.
+    p3 = Graph("abc", [("a", "b"), ("b", "c")])
+
+    def leaf(v):
+        return DecompositionNode(frozenset(v), LEAF, ())
+
+    bc = DecompositionNode(frozenset("bc"), SERIES, (leaf("b"), leaf("c")))
+    tree = DecompositionNode(frozenset("abc"), SERIES, (leaf("a"), bc))
+    with pytest.raises(InvariantError, match="a quotient edge lifts to a non-edge"):
+        _charge_edges(p3, tree)
+    with pytest.raises(InvariantError, match="a quotient edge lifts to a non-edge"):
+        materialize(p3, tree, default_choices(tree))
