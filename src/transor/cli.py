@@ -23,13 +23,17 @@ from .orientation import Orientation, _read_pairs, count_orientations, enumerate
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        return data.decode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_graph(path: str) -> Graph:
@@ -168,6 +172,8 @@ def _cmd_verify(args) -> int:
         pairs = json.loads(_read_input(args.orientation))
     except json.JSONDecodeError as exc:
         raise ParseError(f"orientation file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("orientation file is nested too deeply") from None
     if not isinstance(pairs, list) or not all(
         isinstance(p, list) and len(p) == 2 for p in pairs
     ):

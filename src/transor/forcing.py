@@ -212,7 +212,7 @@ def check_triangle_lemma(g: Graph) -> list[TriangleViolation]:
     triangles = []
     for u, v in g.sorted_edges():
         for w in g.vertices:
-            if idx[w] > idx[v] and w in g.neighbors(u) and w in g.neighbors(v):
+            if idx[w] > idx[v] and g.has_edge(u, w) and g.has_edge(v, w):
                 triangles.append((u, v, w))
     from functools import cache
     from itertools import permutations

@@ -15,12 +15,13 @@ from .errors import DomainError
 class Graph:
     """Undirected simple graph: ordered vertex tokens plus a set of 2-element edges.
 
-    Instances are immutable after construction and safe to share between
-    threads.  Self-loops are rejected; duplicate edges collapse silently
-    (parsers count duplicates themselves when a warning is wanted).
+    Holds the vertex index, the edge set and one adjacency bitmask per
+    vertex, all built in ``__init__`` with no lazy state: immutable and safe
+    to share between threads.  Self-loops are rejected; duplicate edges
+    collapse silently (parsers count them as edge lines past ``edge_count``).
     """
 
-    __slots__ = ("vertices", "edges", "index", "_adj", "_masks", "_hash")
+    __slots__ = ("vertices", "edges", "index", "_masks")
 
     def __init__(self, vertices: Iterable, edges: Iterable[tuple] = ()):
         try:
@@ -28,24 +29,22 @@ class Graph:
         except TypeError:
             raise DomainError("vertex tokens must share a total order") from None
         index = {v: i for i, v in enumerate(vs)}
-        adj: dict = {v: set() for v in vs}
+        masks = [0] * len(vs)
         canon = set()
         for u, v in edges:
             if u == v:
                 raise DomainError(f"self-loop at vertex {u!r}")
-            if u not in index or v not in index:
-                missing = u if u not in index else v
+            i, j = index.get(u), index.get(v)
+            if i is None or j is None:
+                missing = u if i is None else v
                 raise DomainError(f"edge endpoint {missing!r} is not a declared vertex")
-            a, b = (u, v) if index[u] < index[v] else (v, u)
-            canon.add((a, b))
-            adj[a].add(b)
-            adj[b].add(a)
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+            canon.add((u, v) if i < j else (v, u))
         self.vertices = tuple(vs)
         self.index = index
         self.edges = frozenset(canon)
-        self._adj = {v: frozenset(s) for v, s in adj.items()}
-        self._masks: list[int] | None = None
-        self._hash: int | None = None
+        self._masks = masks
 
     @property
     def vertex_count(self) -> int:
@@ -60,17 +59,18 @@ class Graph:
 
     def has_edge(self, u, v) -> bool:
         """True iff uv is an edge.  Unknown vertices are a domain error."""
-        a = self._adj.get(u)
-        if a is None or v not in self.index:
-            missing = u if u not in self.index else v
-            raise DomainError(f"unknown vertex {missing!r}")
-        return v in a
+        index = self.index
+        try:
+            return self._masks[index[u]] >> index[v] & 1 == 1
+        except KeyError:
+            missing = u if u not in index else v
+            raise DomainError(f"unknown vertex {missing!r}") from None
 
     def neighbors(self, v) -> frozenset:
-        a = self._adj.get(v)
-        if a is None:
-            raise DomainError(f"unknown vertex {v!r}")
-        return a
+        try:
+            return self.unmask(self._masks[self.index[v]])
+        except KeyError:
+            raise DomainError(f"unknown vertex {v!r}") from None
 
     def edge_key(self, u, v) -> tuple:
         """Canonical (smaller, larger) form of an edge, by vertex order."""
@@ -81,14 +81,6 @@ class Graph:
 
     def adjacency_masks(self) -> list[int]:
         """Neighbor bitmasks aligned with the vertex index (internal tie-breaker order)."""
-        if self._masks is None:
-            masks = [0] * len(self.vertices)
-            for v, nbrs in self._adj.items():
-                m = 0
-                for w in nbrs:
-                    m |= 1 << self.index[w]
-                masks[self.index[v]] = m
-            self._masks = masks
         return self._masks
 
     def mask_of(self, sub: Iterable) -> int:
@@ -111,9 +103,7 @@ class Graph:
         return self.vertices == other.vertices and self.edges == other.edges
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.vertices, self.edges))
-        return self._hash
+        return hash((self.vertices, self.edges))
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
@@ -131,14 +121,9 @@ def induced_subgraph(g: Graph, sub: Iterable) -> Graph:
 
 def complement(g: Graph) -> Graph:
     """Same vertices; an edge exactly where the input has none."""
-    vs = g.vertices
-    edges = []
-    for i, u in enumerate(vs):
-        nbrs = g.neighbors(u)
-        for v in vs[i + 1:]:
-            if v not in nbrs:
-                edges.append((u, v))
-    return Graph(vs, edges)
+    vs, masks = g.vertices, g.adjacency_masks()
+    n = len(vs)
+    return Graph(vs, [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n) if not masks[i] >> j & 1])
 
 
 def mask_components(masks: list[int], x: int, co: bool = False) -> list[int]:

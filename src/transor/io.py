@@ -15,6 +15,12 @@ class ParsedGraph:
     duplicate_edges: int
 
 
+def _collapse(vertices, edge_lines: list) -> ParsedGraph:
+    # The graph dedups edges; every edge line past its edge count was a duplicate.
+    g = Graph(vertices, edge_lines)
+    return ParsedGraph(g, len(edge_lines) - g.edge_count)
+
+
 def parse_edge_list(text: str) -> ParsedGraph:
     """Parse the plain edge-list dialect.
 
@@ -23,8 +29,7 @@ def parse_edge_list(text: str) -> ParsedGraph:
     vertex.  Duplicate edge lines collapse to one edge and are counted.
     """
     vertices: set = set()
-    edges: set = set()
-    duplicates = 0
+    edges: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -39,12 +44,8 @@ def parse_edge_list(text: str) -> ParsedGraph:
         if u == v:
             raise ParseError(f"self-loop at line {lineno}", line=lineno)
         vertices.update((u, v))
-        key = (u, v) if u < v else (v, u)
-        if key in edges:
-            duplicates += 1
-        else:
-            edges.add(key)
-    return ParsedGraph(Graph(vertices, edges), duplicates)
+        edges.append((u, v))
+    return _collapse(vertices, edges)
 
 
 def _natural(token: str) -> int:
@@ -62,8 +63,7 @@ def parse_dimacs(text: str) -> ParsedGraph:
     and endpoints are ASCII digit strings.
     """
     n: int | None = None
-    edges: set = set()
-    duplicates = 0
+    edges: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -92,16 +92,12 @@ def parse_dimacs(text: str) -> ParsedGraph:
                 raise ParseError(f"endpoint outside 1..{n}", line=lineno)
             if u == v:
                 raise ParseError(f"self-loop at line {lineno}", line=lineno)
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                duplicates += 1
-            else:
-                edges.add(key)
+            edges.append((u, v))
         else:
             raise ParseError(f"unrecognized line {line!r}", line=lineno)
     if n is None:
         raise ParseError("missing 'p edge n m' header")
-    return ParsedGraph(Graph(range(1, n + 1), edges), duplicates)
+    return _collapse(range(1, n + 1), edges)
 
 
 def parse_graph(text: str) -> ParsedGraph:

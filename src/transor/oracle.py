@@ -104,6 +104,7 @@ def implication_classes(g: Graph) -> set[frozenset]:
     """The implication classes by definition: a BFS over the 2|E| directed edges
     in which (a,b) forces (a,b') when bb' is no edge and (a',b) when aa' is none.
     The reference for ``color_classes``: a definition, not a search, so unguarded."""
+    adj = {v: g.neighbors(v) for v in g.vertices}
     seen, classes = set(), set()
     for start in [d for e in g.edges for d in (e, e[::-1])]:
         if start in seen:
@@ -111,7 +112,7 @@ def implication_classes(g: Graph) -> set[frozenset]:
         comp, stack = {start}, [start]
         while stack:
             a, b = stack.pop()
-            na, nb = g.neighbors(a), g.neighbors(b)
+            na, nb = adj[a], adj[b]
             fresh = {(a, x) for x in na - nb if x != b} | {(x, b) for x in nb - na if x != a}
             stack += fresh - comp
             comp |= fresh

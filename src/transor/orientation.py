@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import compress, islice, permutations, product
+from itertools import chain, compress, islice, permutations, product
 from math import factorial, prod
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -249,29 +249,38 @@ def materialize(g: Graph, tree: DecompositionNode, choices: Iterable[NodeChoice]
     return _LiftPlan(g, tree, _edge_classes(g)).apply(choices)
 
 
-def _analyze(g: Graph, shuffle: random.Random | None = None) -> _LiftPlan | None:
+def _analyze(
+    g: Graph, shuffle: random.Random | None = None, output: bool = False
+) -> tuple[_LiftPlan, Iterator[Orientation]] | None:
     """The one analysis behind the verdict, the count and the enumeration.
 
     Reads union-find class labels, builds no ``ColorMap``: None when some
-    class is its own reverse, else the lift plan of one tree, whose first
-    orientation is verified on bitmasks (``InvariantError``).  Needs a vertex."""
+    class is its own reverse, else the lift plan of one tree and its stream
+    of orientations, whose first is built and verified on bitmasks here
+    (``InvariantError``).  With ``output`` the plan's output tables come
+    first, so each orientation carries its JSON pairs.  Needs a vertex."""
     classes = _edge_classes(g)
     if any(c == r for c, r in classes[2].items()):  # a class that is its own reverse
         return None
     plan = _LiftPlan(g, decomposition_tree(g, shuffle=shuffle), classes)
-    if not _witness(g, plan.apply(next(_choice_product(plan))).directed, InvariantError):
+    del classes  # a label per directed edge, all read: free them before the output tables
+    if output:
+        plan.build_output_tables(g)
+    choices = _choice_product(plan)
+    first = plan.apply(next(choices))
+    if not _witness(g, first.directed, InvariantError):
         raise InvariantError("constructed orientation failed the transitivity check")
-    return plan
+    return plan, chain([first], map(plan.apply, choices))
 
 
 def count_orientations(g: Graph) -> int:
     """Exact number of transitive orientations, as an arbitrary-precision int."""
     if g.vertex_count == 0:
         return 1
-    plan = _analyze(g)
-    if plan is None:
+    found = _analyze(g)
+    if found is None:
         return 0
-    return prod(factorial(k) if kind == SERIES else 2 for kind, k, _ in plan.entries.values())
+    return prod(factorial(k) if kind == SERIES else 2 for kind, k, _ in found[0].entries.values())
 
 
 def _choice_product(plan: _LiftPlan) -> Iterator[tuple[NodeChoice, ...]]:
@@ -319,9 +328,7 @@ def enumerate_orientations(
     if g.vertex_count == 0:
         yield Orientation(frozenset())
         return
-    plan = _analyze(g, shuffle)
-    if plan is None:
-        return
-    plan.build_output_tables(g)
-    yield from islice(map(plan.apply, _choice_product(plan)), limit)
+    found = _analyze(g, shuffle, output=True)
+    if found is not None:
+        yield from islice(found[1], limit)
 

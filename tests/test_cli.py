@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -240,7 +241,39 @@ def test_parse_errors_exit_64(write, capsys):
 def test_duplicate_warning_goes_to_stderr(write, capsys):
     code, out, err = run(capsys, "count", write("dup.edges", "a b\na b\n"))
     assert code == 0 and out == "2\n"
-    assert "1 duplicate edge line" in err
+    assert err == "warning: 1 duplicate edge line collapsed\n"
+    code, out, err = run(capsys, "count", write("dup.col", "p edge 2 2\ne 1 2\ne 2 1\n"))
+    assert code == 0 and out == "2\n"
+    assert err == "warning: 1 duplicate edge line collapsed\n"
+    code, out, err = run(capsys, "count", write("dups.edges", "a b\nb a\na b\n"))
+    assert code == 0 and err == "warning: 2 duplicate edge lines collapsed\n"
+
+
+def test_input_that_is_not_utf8_exits_64(tmp_path, write, capsys):
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"\xff b\n")
+    code, out, err = run(capsys, "count", str(bad))
+    assert code == 64 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    base = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL")}
+    for env in ({"PYTHONIOENCODING": "utf-8:strict"}, {"LC_ALL": "C"}):
+        proc = subprocess.run(
+            [sys.executable, "-m", "transor.cli", "count", "-"],
+            input=b"\xff b\n",
+            capture_output=True,
+            env=dict(base, **env),
+        )
+        assert proc.returncode == 64 and proc.stdout == b"", env
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1, env
+    utf16 = tmp_path / "o.json"
+    utf16.write_bytes('[["a","b"]]'.encode("utf-16"))
+    code, _, err = run(capsys, "verify", "--orientation", str(utf16), write("ab.edges", "a b\n"))
+    assert code == 64 and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_orientation_json_exits_64(write, capsys):
+    deep = write("deep.json", "[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "verify", "--orientation", deep, write("ab.edges", "a b\n"))
+    assert code == 64 and out == "" and err == "error: orientation file is nested too deeply\n"
 
 
 def test_dimacs_input(write, capsys):
@@ -276,8 +309,6 @@ def test_byte_identical_reruns(write, capsys):
 
 def test_byte_identical_across_processes_and_hash_seeds(write):
     # String-hash randomization must never leak into any output.
-    import os
-
     path = write("paw.edges", PAW)
     outputs = set()
     for hashseed in ("0", "1", "424242"):
@@ -304,8 +335,6 @@ def test_enumerate_bytes_do_not_follow_the_slot_layout(write):
     # The lift plan lays its slots out in frozenset iteration order, which
     # string hashing changes; the printed pairs must not change with it.
     # A 64-vertex cograph with string names: 1344 edges, composite children.
-    import os
-
     g = balanced_cograph(6)
     path = write("cograph64.edges", "".join(f"v{u} v{w}\n" for u, w in g.sorted_edges()))
     outputs = set()

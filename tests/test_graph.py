@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,8 +49,51 @@ def test_vertex_order_is_sorted_and_stable():
 
 def test_has_edge_rejects_unknown_vertices():
     g = Graph("ab", [("a", "b")])
-    with pytest.raises(DomainError):
-        g.has_edge("a", "z")
+    for call in (lambda: g.has_edge("a", "z"), lambda: g.has_edge("z", "a"), lambda: g.neighbors("z")):
+        with pytest.raises(DomainError, match=r"^unknown vertex 'z'$"):
+            call()
+    with pytest.raises(DomainError, match=r"^unknown vertex 'y'$"):
+        g.has_edge("y", "z")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_masks_has_edge_and_neighbors_agree_with_the_edge_set(seed):
+    # String tokens make the index order differ from the numeric order.
+    base = random_graph(12 + seed, "2/5", seed)
+    g = Graph(map(str, base.vertices), [(str(u), str(v)) for u, v in base.edges])
+    vs, masks = g.vertices, g.adjacency_masks()
+    for i, u in enumerate(vs):
+        for j, v in enumerate(vs):
+            linked = i != j and g.edge_key(u, v) in g.edges
+            assert (masks[i] >> j & 1 == 1) == linked == g.has_edge(u, v)
+        assert g.neighbors(u) == {v for v in vs if g.has_edge(u, v)}
+
+
+def test_edge_order_and_duplicates_do_not_change_the_graph():
+    base = random_graph(15, "1/2", 7)
+    edges = sorted(base.edges)
+    shuffled = edges[:]
+    random.Random(3).shuffle(shuffled)
+    variants = [
+        edges,
+        edges[::-1],
+        shuffled,
+        [(v, u) for u, v in edges],
+        edges + [(v, u) for u, v in shuffled],
+    ]
+    graphs = [Graph(base.vertices, es) for es in variants]
+    for g in graphs:
+        assert g == base and hash(g) == hash(base)
+        assert g.adjacency_masks() == base.adjacency_masks()
+
+
+def test_graph_state_is_built_once():
+    g = random_graph(10, "1/2", 1)
+    before = [getattr(g, name) for name in Graph.__slots__]
+    assert Graph.__slots__ == ("vertices", "edges", "index", "_masks")
+    g.has_edge(0, 1), g.neighbors(0), hash(g), g.adjacency_masks(), g.sorted_edges()
+    assert all(getattr(g, name) is value for name, value in zip(Graph.__slots__, before))
+    assert g.adjacency_masks() is g.adjacency_masks()
 
 
 def test_induced_subgraph_on_paw():

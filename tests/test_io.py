@@ -18,6 +18,9 @@ def test_duplicate_lines_collapse_with_count():
     assert parsed.graph == parse_edge_list("a b").graph
     assert parsed.duplicate_edges == 1
     assert parse_edge_list("a b\nb a").duplicate_edges == 1
+    parsed = parse_dimacs("p edge 3 4\ne 1 2\ne 2 1\ne 1 2\ne 2 3\n")
+    assert parsed.duplicate_edges == 2
+    assert parsed.graph == parse_dimacs("p edge 3 2\ne 1 2\ne 2 3\n").graph
 
 
 def test_self_loop_names_the_line():

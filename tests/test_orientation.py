@@ -370,10 +370,11 @@ def _stream_matches_materialize(g: Graph, limit: int | None, seed: int) -> int:
     # Each streamed orientation, with and without shuffled scans, carries
     # its sorted directed edges as pairs, and its edges are what materialize
     # makes of the same choices.
-    plan = orientation._analyze(g)
-    if plan is None:
+    found = orientation._analyze(g)
+    if found is None:
         assert list(enumerate_orientations(g, limit)) == []
         return 0
+    plan = found[0]
     tree = decomposition_tree(g)
     expected = [materialize(g, tree, c).directed for c in islice(orientation._choice_product(plan), limit)]
     for shuffle in (None, random.Random(seed)):
@@ -409,6 +410,22 @@ def test_to_json_returns_fresh_lists(fx):
     first[0][0] = "z"
     first.pop()
     assert o.to_json() == [["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"]]
+
+
+def test_first_orientation_is_built_once(fx, monkeypatch):
+    # The stream yields the orientation that the analysis verified.
+    apply = orientation._LiftPlan.apply
+    calls = []
+
+    def counted(self, choices):
+        calls.append(1)
+        return apply(self, choices)
+
+    monkeypatch.setattr(orientation._LiftPlan, "apply", counted)
+    first = next(enumerate_orientations(fx["paw"]))
+    assert len(calls) == 1
+    assert first.to_json() == [["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"]]
+    assert len(list(enumerate_orientations(fx["paw"]))) == 4 and len(calls) == 1 + 4
 
 
 def test_count_and_check_build_no_output_tables(fx, monkeypatch):
