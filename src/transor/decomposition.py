@@ -160,16 +160,25 @@ def _prime_parts(masks: list[int], x: int, shuffle: random.Random | None) -> lis
     # Every proper module lies inside one child, so the child M_v holding v
     # is v plus the parts that close with v to less than x, and every other
     # part is a child of its own; a closure that reaches such a part is x.
-    # About k^2 mask steps for k = |x|.
+    # ``owner`` maps each vertex to its part's id, and a split gives the
+    # smaller half a new id, so a task jumps over its target one part at a
+    # time.  About k^2 mask steps for k = |x|.
     if shuffle is None:
         vb = x & -x
     else:
         vb = 1 << shuffle.choice([u for u in range(x.bit_length()) if x >> u & 1])
-    parts = {x ^ vb}
+    parts = [x ^ vb]  # by id
+    owner = [0] * x.bit_length()
     tasks = [(vb, x ^ vb)]  # each vertex of the first mask splits the parts inside the second
     while tasks:
         pivots, target = tasks.pop(-1 if shuffle is None else shuffle.randrange(len(tasks)))
-        inside = [p for p in parts if p & target and p & (p - 1)]  # singletons never split
+        inside, rest = [], target  # a target is a union of parts; singletons never split
+        while rest:
+            pid = owner[(rest & -rest).bit_length() - 1]
+            p = parts[pid]
+            rest ^= p
+            if p & (p - 1):
+                inside.append(pid)
         while pivots and inside:
             b = pivots & -pivots
             pivots ^= b
@@ -177,15 +186,23 @@ def _prime_parts(masks: list[int], x: int, shuffle: random.Random | None) -> lis
             if not seen or seen == target:
                 continue
             kept = []
-            for p in inside:
+            for pid in inside:
+                p = parts[pid]
                 a = p & seen
                 if a and a != p:
-                    parts.remove(p)
-                    parts.update((a, p ^ a))
                     tasks += [(a, p ^ a), (p ^ a, a)]
-                    kept += (a, p ^ a)
+                    if 2 * a.bit_count() > p.bit_count():
+                        a ^= p  # the smaller half takes the new id
+                    parts[pid] = p ^ a
+                    kept += (pid, len(parts))
+                    m = a
+                    while m:
+                        c = m & -m
+                        owner[c.bit_length() - 1] = len(parts)
+                        m ^= c
+                    parts.append(a)
                 else:
-                    kept.append(p)
+                    kept.append(pid)
             inside = kept
     mv, out = vb, 0
     for p in parts:
@@ -266,72 +283,113 @@ def quotient(g: Graph, partition) -> Graph:
     return Graph(reps, edges)
 
 
+def _split(g: Graph, shuffle: random.Random | None = None) -> list[tuple[int, str, list[int]]]:
+    # The one place the graph is split: ``(x, kind, parts)`` host masks per
+    # internal node of the tree, in pre-order (children in order), from an
+    # explicit stack.  A singleton part is a leaf and has no entry.
+    masks = g.adjacency_masks()
+    splits = []
+    stack = [(1 << g.vertex_count) - 1]
+    while stack:
+        x = stack.pop()
+        if x & (x - 1):
+            kind, parts = _strong_parts(masks, x, shuffle)
+            splits.append((x, kind, parts))
+            stack.extend(reversed(parts))
+    return splits
+
+
 def decomposition_tree(g: Graph, *, shuffle: random.Random | None = None) -> DecompositionNode:
     """Decomposition into strong modules, deterministic child order.
 
-    Splits vertex masks of the host graph in pre-order on an explicit stack,
-    then assembles bottom-up: no recursion and no graph per level."""
-    n = g.vertex_count
-    if n == 0:
+    Assembles the nodes bottom-up from ``_split``'s pre-order masks: no
+    recursion and no graph per level."""
+    if g.vertex_count == 0:
         raise DomainError("cannot decompose an empty vertex set")
-    masks = g.adjacency_masks()
     vs = g.vertices
-    splits = []
-    stack = [(1 << n) - 1]
-    while stack:
-        x = stack.pop()
-        kind, parts = _strong_parts(masks, x, shuffle) if x & (x - 1) else (LEAF, [])
-        splits.append((x, kind, parts))
-        stack.extend(reversed(parts))
+
+    def node(p: int) -> DecompositionNode:
+        if p & (p - 1):
+            return built.pop(p)
+        return DecompositionNode(frozenset((vs[p.bit_length() - 1],)), LEAF, ())
+
     built: dict[int, DecompositionNode] = {}
-    for x, kind, parts in reversed(splits):
-        if not parts:
-            built[x] = DecompositionNode(frozenset((vs[x.bit_length() - 1],)), LEAF, ())
-            continue
-        children = tuple(built.pop(p) for p in parts)
+    for x, kind, parts in reversed(_split(g, shuffle)):
+        children = tuple(map(node, parts))
         built[x] = DecompositionNode(frozenset().union(*(c.vertex_set for c in children)), kind, children)
-    return built[x]  # the root: split first, assembled last
+    return node((1 << g.vertex_count) - 1)  # the root: split first, assembled last
 
 
-def _charge_edges(g: Graph, tree: DecompositionNode) -> list[tuple]:
+def _tree_splits(g: Graph, tree: DecompositionNode) -> tuple[list, dict]:
+    """``_split``'s list for a given tree, and its internal nodes by mask.
+
+    Each node's mask is built bottom-up from its leaves, so a hand-built
+    tree reaches the same charge walk as a split one."""
+    index = g.index
+    mask: dict = {}  # id(node) -> its vertex mask
+    splits, nodes = [], {}
+    for node in reversed(list(tree.walk())):  # every child before its parent
+        if node.children:
+            parts = [mask[id(c)] for c in node.children]
+            x = 0
+            for p in parts:
+                x |= p
+            splits.append((x, node.kind, parts))
+            nodes[x] = node
+        elif len(node.vertex_set) != 1:
+            raise InvariantError("a leaf is not one vertex")
+        else:
+            (v,) = node.vertex_set
+            if v not in index:
+                raise InvariantError("edge endpoint missing from the tree")
+            x = 1 << index[v]
+        mask[id(node)] = x
+    if x != (1 << g.vertex_count) - 1:  # x is the root's mask
+        raise InvariantError("edge endpoint missing from the tree")
+    splits.reverse()
+    return splits, nodes
+
+
+def _charge_edges(g: Graph, splits: list[tuple[int, str, list[int]]]) -> list[tuple]:
     """Charge every edge to the one node whose children separate its ends.
 
-    ``(path, node, members, blocks)`` per series and prime node in pre-order;
-    ``members[i]`` lists the vertices of child ``i``, and ``blocks`` the child
-    index pairs ``(i, j)``, ``i < j``, whose representatives are adjacent:
-    every member of child ``i`` is adjacent to every member of child ``j``,
-    as the host masks prove.  The charges must partition E, and a parallel
-    node's representatives must be pairwise non-adjacent."""
-    if tree.vertex_set != frozenset(g.vertices):
-        raise InvariantError("edge endpoint missing from the tree")
-    index = g.index
+    ``(path, split, members, blocks)`` per series and prime node of
+    ``_split``'s list, in its pre-order; ``path`` lists child indices from
+    the root, as ``walk_with_paths`` gives them, ``members[i]`` the vertices
+    of child ``i`` in index order, and ``blocks`` the child index pairs
+    ``(i, j)``, ``i < j``, whose representatives (each child's lowest bit)
+    are adjacent: every member of child ``i`` is adjacent to every member of
+    child ``j``, as the host masks prove.  The charges must partition E, and
+    a parallel node's representatives must be pairwise non-adjacent."""
+    vs = g.vertices
     masks = g.adjacency_masks()
     charged = 0
     out = []
-    for path, node in tree.walk_with_paths():
-        if node.kind == LEAF:
-            continue
-        reps = [index[r] for r in node.representatives]
+    paths = [()]  # the paths of the internal nodes still to come, next on top
+    for split in splits:
+        _, kind, parts = split
+        path = paths.pop()
+        paths.extend(path + (i,) for i in range(len(parts) - 1, -1, -1) if parts[i] & (parts[i] - 1))
+        reps = [(p & -p).bit_length() - 1 for p in parts]
         rep_mask = seen = 0
         for r in reps:
             rep_mask |= 1 << r
             seen |= masks[r]
-        if node.kind == PARALLEL:
+        if kind == PARALLEL:
             if seen & rep_mask:
                 raise InvariantError("parallel node received crossing edges")
             continue
         members = []
-        within = []  # each child's vertex mask
         common = []  # the vertices adjacent to every member of each child
-        for child in node.children:
-            vs = list(child.vertex_set)
-            m, every = 0, -1
-            for v in vs:
-                u = index[v]
-                m |= 1 << u
+        for p in parts:
+            vs_p, every = [], -1
+            while p:
+                b = p & -p
+                u = b.bit_length() - 1
+                vs_p.append(vs[u])
                 every &= masks[u]
-            members.append(vs)
-            within.append(m)
+                p ^= b
+            members.append(vs_p)
             common.append(every)
         child_of = {r: i for i, r in enumerate(reps)}
         blocks = []
@@ -341,13 +399,13 @@ def _charge_edges(g: Graph, tree: DecompositionNode) -> list[tuple]:
                 b = joined & -joined
                 joined ^= b
                 j = child_of[b.bit_length() - 1]
-                if common[i] & within[j] != within[j]:
+                if common[i] & parts[j] != parts[j]:
                     raise InvariantError("a quotient edge lifts to a non-edge")
                 blocks.append((i, j))
                 charged += len(members[i]) * len(members[j])
         if not blocks:
-            raise InvariantError(f"{node.kind} node received no crossing edges")
-        out.append((path, node, members, blocks))
+            raise InvariantError(f"{kind} node received no crossing edges")
+        out.append((path, split, members, blocks))
     if charged != g.edge_count:
         raise InvariantError("charged edges do not cover E")
     return out
@@ -356,13 +414,14 @@ def _charge_edges(g: Graph, tree: DecompositionNode) -> list[tuple]:
 def is_strong_module(g: Graph, sub: Iterable) -> bool:
     """True iff the set is a module overlapped by no other module.
 
-    Implemented as membership among the decomposition tree's node sets (plus
-    the trivial sets); tests verify this against the brute-force definition.
+    Implemented as membership among the masks of the tree's internal nodes
+    (plus the trivial sets); tests verify this against the brute-force
+    definition.
     """
     xs = frozenset(sub)
     if not is_module(g, xs):  # also refuses vertices outside the graph
         return False
     if len(xs) <= 1 or len(xs) == g.vertex_count:
         return True
-    tree = decomposition_tree(g)
-    return any(node.vertex_set == xs for node in tree.walk())
+    x = g.mask_of(xs)
+    return any(split[0] == x for split in _split(g))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError, InvariantError
-from .graph import Graph, mask_components, spanned_vertices
+from .graph import Graph, spanned_vertices
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,20 @@ def _edge_classes(g: Graph) -> tuple[list[dict], list[int], dict]:
     masks = g.adjacency_masks()
     group: list[dict] = []
     k = 0
-    for m in masks:
-        group.append({})
-        for comp in mask_components(masks, m, co=True):
-            while comp:
-                b = comp & -comp
-                group[-1][b.bit_length() - 1] = k
-                comp ^= b
+    for m in masks:  # m keeps the neighbours not yet reached
+        of: dict = {}
+        while m:  # one co-component per round, from its lowest vertex
+            frontier = m & -m
+            m ^= frontier
+            while frontier:
+                b = frontier & -frontier
+                h = b.bit_length() - 1
+                of[h] = k
+                new = m & ~masks[h]
+                m ^= new
+                frontier ^= b | new
             k += 1
+        group.append(of)
     parent = list(range(2 * k))
 
     def find(x: int) -> int:

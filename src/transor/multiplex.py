@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import DecompositionNode, SERIES, _charge_edges, is_strong_module
+from .decomposition import DecompositionNode, SERIES, _charge_edges, _tree_splits, is_strong_module
 from .errors import DomainError
 from .forcing import ColorMap, color_classes
 from .graph import Graph
@@ -50,10 +50,12 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
     """
     if cmap is None:
         cmap = color_classes(g)
+    splits, nodes = _tree_splits(g, tree)
     result = []
-    for path, node, members, blocks in _charge_edges(g, tree):
+    for path, (x, kind, parts), members, blocks in _charge_edges(g, splits):
+        node = nodes[x]
         edges = frozenset(g.edge_key(u, v) for i, j in blocks for u in members[i] for v in members[j])
-        rank = len(node.children) - 1 if node.kind == SERIES else 1
+        rank = len(parts) - 1 if kind == SERIES else 1
         result.append(
             Multiplex(
                 span=node.vertex_set,

@@ -16,7 +16,7 @@ from math import factorial, prod
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .decomposition import DecompositionNode, PRIME, SERIES, _charge_edges, decomposition_tree
+from .decomposition import DecompositionNode, PRIME, SERIES, _charge_edges, _split, _tree_splits
 from .errors import DomainError, InvariantError
 from .forcing import _edge_classes
 from .graph import Graph
@@ -147,19 +147,19 @@ class _LiftPlan:
 
     __slots__ = ("entries", "slots", "output")
 
-    def __init__(self, g: Graph, tree: DecompositionNode, classes: tuple):
-        # entries: path -> (kind, child count, pieces).  A series node keeps
-        # (i, j, run) per block, where run[False] selects the block's forward
-        # run and run[True] its reverse run; a prime node keeps its canonical
-        # and its reverse selector.
+    def __init__(self, g: Graph, splits: list, classes: tuple):
+        # ``splits`` is ``_split``'s list (or ``_tree_splits``'s for a given
+        # tree).  entries: path -> (kind, child count, pieces).  A series
+        # node keeps (i, j, run) per block, where run[False] selects the
+        # block's forward run and run[True] its reverse run; a prime node
+        # keeps its canonical and its reverse selector.
         group, root, inverse = classes
-        index = g.index
         self.entries: dict[tuple[int, ...], tuple] = {}
         self.output: tuple | None = None
         self.slots: list = []
         lay = self.slots.extend
         runs: dict[int, tuple[bytes, bytes]] = {}  # block size -> its two run selectors
-        for path, node, members, blocks in _charge_edges(g, tree):
+        for path, (_, kind, parts), members, blocks in _charge_edges(g, splits):
             pieces = []
             for i, j in blocks:
                 lay(product(members[i], members[j]))
@@ -169,8 +169,8 @@ class _LiftPlan:
                 if run is None:
                     run = runs[n] = (b"\1" * n + b"\0" * n, b"\0" * n + b"\1" * n)
                 pieces.append((i, j, run))
-            if node.kind == PRIME:
-                reps = [index[r] for r in node.representatives]
+            if kind == PRIME:
+                reps = [(p & -p).bit_length() - 1 for p in parts]
                 label = [root[2 * group[reps[i]][reps[j]]] for i, j in blocks]
                 forward = label[0]
                 if not set(label) <= {forward, inverse[forward]}:
@@ -179,7 +179,7 @@ class _LiftPlan:
                     raise DomainError("prime quotient is not transitively orientable")
                 canonical = b"".join([run[c != forward] for (_, _, run), c in zip(pieces, label)])
                 pieces = (canonical, canonical.translate(_FLIP))
-            self.entries[path] = (node.kind, len(node.children), pieces)
+            self.entries[path] = (kind, len(parts), pieces)
 
     def build_output_tables(self, g: Graph) -> None:
         """Let ``apply`` hand each orientation its ``to_json`` pairs.
@@ -246,7 +246,7 @@ def materialize(g: Graph, tree: DecompositionNode, choices: Iterable[NodeChoice]
     permutation; prime blocks copy the direction their quotient edge takes in
     the chosen half of the quotient's color class.
     """
-    return _LiftPlan(g, tree, _edge_classes(g)).apply(choices)
+    return _LiftPlan(g, _tree_splits(g, tree)[0], _edge_classes(g)).apply(choices)
 
 
 def _analyze(
@@ -262,7 +262,7 @@ def _analyze(
     classes = _edge_classes(g)
     if any(c == r for c, r in classes[2].items()):  # a class that is its own reverse
         return None
-    plan = _LiftPlan(g, decomposition_tree(g, shuffle=shuffle), classes)
+    plan = _LiftPlan(g, _split(g, shuffle), classes)
     del classes  # a label per directed edge, all read: free them before the output tables
     if output:
         plan.build_output_tables(g)

@@ -26,7 +26,7 @@ from transor import (
     strong_modules_of_order,
 )
 from transor import forcing, orientation
-from transor.decomposition import LEAF, SERIES, DecompositionNode, _charge_edges
+from transor.decomposition import LEAF, SERIES, DecompositionNode, _charge_edges, _split, _tree_splits
 from transor.errors import OracleScaleError
 from transor.oracle import acceptance_corpus, complete_graph, fixtures
 
@@ -451,6 +451,41 @@ def test_a_series_child_that_is_not_a_module_is_an_invariant_error():
     bc = DecompositionNode(frozenset("bc"), SERIES, (leaf("b"), leaf("c")))
     tree = DecompositionNode(frozenset("abc"), SERIES, (leaf("a"), bc))
     with pytest.raises(InvariantError, match="a quotient edge lifts to a non-edge"):
-        _charge_edges(p3, tree)
+        _charge_edges(p3, _tree_splits(p3, tree)[0])
     with pytest.raises(InvariantError, match="a quotient edge lifts to a non-edge"):
         materialize(p3, tree, default_choices(tree))
+
+
+def test_the_tree_adaptor_refuses_a_tree_that_does_not_fit_the_graph():
+    p3 = Graph("abc", [("a", "b"), ("b", "c")])
+    for other in (Graph("ab", [("a", "b")]), Graph("abcd", [("a", "b"), ("b", "c")])):
+        with pytest.raises(InvariantError, match="edge endpoint missing from the tree"):
+            _tree_splits(p3, decomposition_tree(other))
+    a, bc = (DecompositionNode(frozenset(v), LEAF, ()) for v in ("a", "bc"))
+    with pytest.raises(InvariantError, match="a leaf is not one vertex"):
+        _tree_splits(p3, DecompositionNode(frozenset("abc"), SERIES, (a, bc)))
+
+
+def test_the_tree_adaptor_gives_the_split_list():
+    for _, g in acceptance_corpus():
+        if g.vertex_count:
+            splits, nodes = _tree_splits(g, decomposition_tree(g))
+            assert splits == _split(g)
+            assert [nodes[x].kind for x, _, _ in splits] == [kind for _, kind, _ in splits]
+            paths = [path for path, node in decomposition_tree(g).walk_with_paths() if node.kind in ("series", "prime")]
+            assert [path for path, *_ in _charge_edges(g, splits)] == paths
+
+
+def test_check_count_and_enumerate_build_no_tree_nodes(fx, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("DecompositionNode built")
+
+    graphs = [fx["paw"], fx["p4"], fx["k4"], fx["c5"], checks.threshold_graph(30), checks.balanced_cograph(4)]
+    expected = [(is_comparability(g), count_orientations(g), list(enumerate_orientations(g, 50))) for g in graphs]
+    monkeypatch.setattr(DecompositionNode, "__init__", refuse)
+    for g, (verdict, count, stream) in zip(graphs, expected):
+        assert is_comparability(g) == verdict
+        assert count_orientations(g) == count
+        assert list(enumerate_orientations(g, 50)) == stream
+    with pytest.raises(AssertionError, match="DecompositionNode built"):
+        decomposition_tree(fx["paw"])
