@@ -55,22 +55,12 @@ def _dump(obj) -> str:
 
 def _tree_to_json(tree) -> str:
     # ``_dump(tree.to_json_dict())`` byte for byte, but json.dumps recurses
-    # once per nesting level; a stack of nodes and literal pieces does not.
-    out = []
-    stack: list = [tree]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        vertices = _dump([str(v) for v in sorted(item.vertex_set)])
-        out.append(f'{{"vertices":{vertices},"kind":{_dump(item.kind)},"children":[')
-        stack.append("]}")
-        for i in range(len(item.children) - 1, -1, -1):
-            stack.append(item.children[i])
-            if i:
-                stack.append(",")
-    return "".join(out)
+    # once per nesting level; the tree's stack renderer does not.
+    return tree._render(
+        lambda n: f'{{"vertices":{_dump([str(v) for v in sorted(n.vertex_set)])},"kind":{_dump(n.kind)},"children":[',
+        ",",
+        lambda n: "]}",
+    )
 
 
 def _tree_to_dot(tree) -> str:

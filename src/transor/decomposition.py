@@ -54,8 +54,16 @@ class DecompositionNode:
         return hash((self.vertex_set, self.kind))  # equal nodes agree on both
 
     def __repr__(self) -> str:
-        # The dataclass-generated format, written out from a stack of nodes
-        # and literal pieces instead of one nested call per level.
+        # The dataclass-generated format, without one nested call per level.
+        return self._render(
+            lambda n: f"DecompositionNode(vertex_set={n.vertex_set!r}, kind={n.kind!r}, children=(",
+            ", ",
+            lambda n: ("," if len(n.children) == 1 else "") + "))",
+        )
+
+    def _render(self, head, sep: str, tail) -> str:
+        # Each node as ``head(node)``, its children joined by ``sep``, then
+        # ``tail(node)``, from a stack of nodes and literal pieces: any depth.
         out = []
         stack: list = [self]
         while stack:
@@ -63,12 +71,12 @@ class DecompositionNode:
             if isinstance(item, str):
                 out.append(item)
                 continue
-            out.append(f"DecompositionNode(vertex_set={item.vertex_set!r}, kind={item.kind!r}, children=(")
-            stack.append(("," if len(item.children) == 1 else "") + "))")
+            out.append(head(item))
+            stack.append(tail(item))
             for i in range(len(item.children) - 1, -1, -1):
                 stack.append(item.children[i])
                 if i:
-                    stack.append(", ")
+                    stack.append(sep)
         return "".join(out)
 
     def walk(self) -> Iterator["DecompositionNode"]:
@@ -89,11 +97,8 @@ class DecompositionNode:
 
     @property
     def representatives(self) -> list:
-        """The smallest vertex of each child (the quotient's vertices), computed once."""
-        reps = self.__dict__.get("_representatives")
-        if reps is None:
-            reps = self.__dict__["_representatives"] = [min(child.vertex_set) for child in self.children]
-        return reps
+        """The smallest vertex of each child (the quotient's vertices)."""
+        return [min(child.vertex_set) for child in self.children]
 
     def to_json_dict(self) -> dict:
         done: dict = {}

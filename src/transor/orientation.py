@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, islice, permutations, product
 from math import factorial, prod
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .decomposition import DecompositionNode, PRIME, SERIES, _charge_edges, _split, _tree_splits
 from .errors import DomainError, InvariantError
@@ -69,7 +69,10 @@ def _read_pairs(g: Graph, pairs: Iterable) -> tuple[frozenset, bool]:
         raise DomainError("vertex names are ambiguous under str()")
     directed = set()
     for pair in pairs:
-        t, h = pair
+        try:
+            t, h = pair
+        except (TypeError, ValueError):
+            raise DomainError(f"{pair!r} is not a (tail, head) pair") from None
         tail = by_name.get(str(t))
         head = by_name.get(str(h))
         if tail is None or head is None:
@@ -96,26 +99,26 @@ class NodeChoice:
     use_reverse: bool | None = None
 
 
-def _witness(g: Graph, pairs: Iterable, error: type[Exception]) -> bool:
+def _witness(g: Graph, pairs: Collection, error: type[Exception]) -> bool:
     # Raise ``error`` unless the (tail, head) pairs orient every edge of g
     # exactly once: per vertex, out- and in-neighbour masks are disjoint and
     # together its adjacency mask.  Then transitive iff succ[h] lies within
-    # succ[t] for every pair t->h.
+    # succ[t] for every pair t->h, read from the pairs a second time.
     index = g.index
     succ = [0] * len(index)
     pred = succ.copy()
-    arcs = []
-    for t, h in pairs:
-        try:
+    try:
+        for t, h in pairs:
             i, j = index[t], index[h]
-        except KeyError:
-            raise error(f"({t!r},{h!r}) is not an edge of the graph") from None
-        succ[i] |= 1 << j
-        pred[j] |= 1 << i
-        arcs.append((i, j))
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
+    except KeyError:
+        raise error(f"({t!r},{h!r}) is not an edge of the graph") from None
+    except (TypeError, ValueError):
+        raise error("orientation pairs must be (tail, head) pairs") from None
     if any(s & p or s | p != m for s, p, m in zip(succ, pred, g.adjacency_masks())):
         raise error("orientation does not cover each edge exactly once")
-    return all(not succ[j] & ~succ[i] for i, j in arcs)
+    return all(not succ[index[h]] & ~succ[index[t]] for t, h in pairs)
 
 
 def is_transitive(g: Graph, o: Orientation) -> bool:
@@ -196,8 +199,13 @@ class _LiftPlan:
         name = {v: str(v) for v in g.vertices}
         self.output = (gather, [(name[t], name[h]) for t, h in gather(self.slots)])
 
-    def apply(self, choices: Iterable[NodeChoice]) -> Orientation:
-        chosen = {c.path: c for c in choices}
+    def selector(self, choices: Iterable[NodeChoice]) -> bytes:
+        # The one reader of NodeChoice: DomainError unless the choices fit the tree.
+        chosen: dict = {}
+        for c in choices:
+            if c.path in chosen:
+                raise DomainError(f"two choices for node {c.path}")
+            chosen[c.path] = c
         if chosen.keys() != self.entries.keys():
             missing = self.entries.keys() - chosen.keys()
             extra = chosen.keys() - self.entries.keys()
@@ -211,14 +219,14 @@ class _LiftPlan:
                 perm = choice.permutation
                 if perm is None or sorted(perm) != list(range(k)):
                     raise DomainError(f"series node {path} needs a permutation of {k} children")
-                pos = {child: rank for rank, child in enumerate(perm)}
-                for i, j, run in pieces:
-                    parts.append(run[pos[i] > pos[j]])
+                parts.append(_series_piece(pieces, perm))
             elif choice.use_reverse is None:
                 raise DomainError(f"prime node {path} needs a direction flag")
             else:
                 parts.append(pieces[1] if choice.use_reverse else pieces[0])
-        sel = b"".join(parts)
+        return b"".join(parts)
+
+    def apply(self, sel: bytes) -> Orientation:
         directed = frozenset(compress(self.slots, sel))
         if self.output is None:
             return Orientation(directed)
@@ -226,6 +234,13 @@ class _LiftPlan:
         # A list: small tuples freed once per orientation linger in the
         # interpreter's free lists, which raised the peak memory of a stream.
         return Orientation(directed, list(compress(pairs, gather(sel))))
+
+
+def _series_piece(blocks: list, perm: tuple[int, ...]) -> bytes:
+    # A series node's selector piece for one child order: each block's
+    # forward run when child i comes before child j, else its reverse run.
+    pos = sorted(range(len(perm)), key=perm.__getitem__)  # child -> its place
+    return b"".join([run[pos[i] > pos[j]] for i, j, run in blocks])
 
 
 def default_choices(tree: DecompositionNode) -> list[NodeChoice]:
@@ -246,31 +261,28 @@ def materialize(g: Graph, tree: DecompositionNode, choices: Iterable[NodeChoice]
     permutation; prime blocks copy the direction their quotient edge takes in
     the chosen half of the quotient's color class.
     """
-    return _LiftPlan(g, _tree_splits(g, tree)[0], _edge_classes(g)).apply(choices)
+    plan = _LiftPlan(g, _tree_splits(g, tree)[0], _edge_classes(g))
+    return plan.apply(plan.selector(choices))
 
 
-def _analyze(
-    g: Graph, shuffle: random.Random | None = None, output: bool = False
-) -> tuple[_LiftPlan, Iterator[Orientation]] | None:
+def _analyze(g: Graph, shuffle: random.Random | None = None) -> tuple[_LiftPlan, Iterator[bytes]] | None:
     """The one analysis behind the verdict, the count and the enumeration.
 
     Reads union-find class labels, builds no ``ColorMap``: None when some
     class is its own reverse, else the lift plan of one tree and its stream
-    of orientations, whose first is built and verified on bitmasks here
-    (``InvariantError``).  With ``output`` the plan's output tables come
-    first, so each orientation carries its JSON pairs.  Needs a vertex."""
+    of selectors, whose first is verified here on bitmasks against the
+    slots it selects (``InvariantError``).  Builds no orientation.  Needs a
+    vertex."""
     classes = _edge_classes(g)
     if any(c == r for c, r in classes[2].items()):  # a class that is its own reverse
         return None
     plan = _LiftPlan(g, _split(g, shuffle), classes)
-    del classes  # a label per directed edge, all read: free them before the output tables
-    if output:
-        plan.build_output_tables(g)
-    choices = _choice_product(plan)
-    first = plan.apply(next(choices))
-    if not _witness(g, first.directed, InvariantError):
+    del classes  # a label per directed edge, all read: free them before the witness
+    selectors = _selectors(plan)
+    first = next(selectors)
+    if not _witness(g, list(compress(plan.slots, first)), InvariantError):
         raise InvariantError("constructed orientation failed the transitivity check")
-    return plan, chain([first], map(plan.apply, choices))
+    return plan, chain([first], selectors)
 
 
 def count_orientations(g: Graph) -> int:
@@ -283,19 +295,21 @@ def count_orientations(g: Graph) -> int:
     return prod(factorial(k) if kind == SERIES else 2 for kind, k, _ in found[0].entries.values())
 
 
-def _choice_product(plan: _LiftPlan) -> Iterator[tuple[NodeChoice, ...]]:
-    # Odometer over the per-node options: the first node is the most
-    # significant digit, and an exhausted digit restarts its options.
-    def options(path, kind, k) -> Iterator[NodeChoice]:
+def _selectors(plan: _LiftPlan) -> Iterator[bytes]:
+    # Odometer over the per-node selector pieces: the first node is the most
+    # significant digit, and an exhausted digit restarts its pieces.  A
+    # series node's piece is joined once per permutation, in lexicographic
+    # order; a prime node's two pieces are the plan's.
+    def options(kind, k, pieces) -> Iterator[bytes]:
         if kind == SERIES:
-            return (NodeChoice(path, permutation=perm) for perm in permutations(range(k)))
-        return (NodeChoice(path, use_reverse=flag) for flag in (False, True))
+            return (_series_piece(pieces, perm) for perm in permutations(range(k)))
+        return iter(pieces)
 
-    space = [(path, kind, k) for path, (kind, k, _) in plan.entries.items()]
+    space = list(plan.entries.values())
     digits = [options(*node) for node in space]
     combo = [next(d) for d in digits]
     while True:
-        yield tuple(combo)
+        yield b"".join(combo)
         for i in range(len(digits) - 1, -1, -1):
             combo[i] = next(digits[i], None)
             if combo[i] is not None:
@@ -320,15 +334,17 @@ def enumerate_orientations(
     empty stream.  The cartesian product is generated lazily, so a ``limit``
     makes even astronomically large spaces cheap.  Each orientation carries
     its ``to_json`` pairs, gathered from the lift plan's slot layout into
-    (tail, head) vertex order by output tables built before the first one,
-    so no orientation is sorted.
+    (tail, head) vertex order by output tables built once, after the
+    analysis, so no orientation is sorted.
     """
     if limit is not None and limit <= 0:
         return
     if g.vertex_count == 0:
         yield Orientation(frozenset())
         return
-    found = _analyze(g, shuffle, output=True)
+    found = _analyze(g, shuffle)
     if found is not None:
-        yield from islice(found[1], limit)
+        plan, selectors = found
+        plan.build_output_tables(g)
+        yield from islice(map(plan.apply, selectors), limit)
 

@@ -130,7 +130,7 @@ def test_analysis_labels_agree_with_the_color_map():
             continue
         plan, stream = found
         nodes = dict(decomposition_tree(g).walk_with_paths())
-        canonical = next(stream).directed  # every prime node's first half
+        canonical = plan.apply(next(stream)).directed  # every prime node's first half
         for path, (kind, _, _) in plan.entries.items():
             if kind != PRIME:
                 continue

@@ -4,7 +4,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations, product
 from math import factorial
 
 import pytest
@@ -26,7 +26,7 @@ from transor import (
     strong_modules_of_order,
 )
 from transor import forcing, orientation
-from transor.decomposition import LEAF, SERIES, DecompositionNode, _charge_edges, _split, _tree_splits
+from transor.decomposition import LEAF, PRIME, SERIES, DecompositionNode, _charge_edges, _split, _tree_splits
 from transor.errors import OracleScaleError
 from transor.oracle import acceptance_corpus, complete_graph, fixtures
 
@@ -120,6 +120,13 @@ def test_materialize_prime_class_choice(fx):
     assert backward.directed == {("b", "a"), ("b", "c"), ("d", "c")}
 
 
+def test_materialize_refuses_two_choices_for_one_node(fx):
+    p4 = fx["p4"]
+    tree = decomposition_tree(p4)
+    with pytest.raises(DomainError, match=r"two choices for node \(\)"):
+        materialize(p4, tree, [NodeChoice((), use_reverse=False), NodeChoice((), use_reverse=True)])
+
+
 def test_materialize_requires_every_choice(fx):
     paw = fx["paw"]
     tree = decomposition_tree(paw)
@@ -158,23 +165,19 @@ VERBS = (is_comparability, count_orientations, lambda g: next(enumerate_orientat
     [("reversed block", "transitivity"), ("dropped edge", "exactly once"), ("both directions", "exactly once")],
 )
 def test_faulty_first_orientation_is_an_invariant_error(fx, monkeypatch, fault, message):
-    # The witness must catch a lift plan whose first orientation is wrong:
-    # on P4 (one prime node) reversing the block a-b leaves c->b->a open.
-    apply = orientation._LiftPlan.apply
+    # The witness must catch a lift plan whose first selector is wrong: on
+    # P4 (one prime node) reversing the block a-b leaves c->b->a open.  The
+    # first block's two bytes select its forward and its reverse slot.
+    selectors = orientation._selectors
 
-    def faulty(self, choices):
-        directed = set(apply(self, choices).directed)
-        block = self.slots[:1]  # the first block's forward run, the edge a-b
-        arcs = {e if e in directed else e[::-1] for e in block}
-        if fault == "reversed block":
-            directed = (directed - arcs) | {(h, t) for t, h in arcs}
-        elif fault == "dropped edge":
-            directed -= {min(arcs)}
-        else:
-            directed |= {min(arcs)[::-1]}
-        return Orientation(frozenset(directed))
+    def faulty(plan):
+        stream = selectors(plan)
+        first = next(stream)
+        block = {"reversed block": first[1::-1], "dropped edge": b"\0\0", "both directions": b"\1\1"}[fault]
+        yield block + first[2:]
+        yield from stream
 
-    monkeypatch.setattr(orientation._LiftPlan, "apply", faulty)
+    monkeypatch.setattr(orientation, "_selectors", faulty)
     for verb in VERBS:
         with pytest.raises(InvariantError, match=message):
             verb(fx["p4"])
@@ -217,6 +220,15 @@ def test_orientation_round_trip(fx):
     assert again == o
     with pytest.raises(DomainError):
         Orientation.from_pairs(paw, [["a", "z"]])
+
+
+def test_malformed_pairs_are_a_domain_error(fx):
+    paw = fx["paw"]
+    for bad in (("a", "b", "c"), ("a",), 5):
+        with pytest.raises(DomainError, match="tail, head"):
+            Orientation.from_pairs(paw, [bad])
+        with pytest.raises(DomainError, match="tail, head"):
+            is_transitive(paw, Orientation(frozenset([bad])))
 
 
 def test_strong_modules_of_order_examples(fx):
@@ -369,14 +381,20 @@ def test_deep_tree_equality_hash_and_repr_need_no_recursion():
 def _stream_matches_materialize(g: Graph, limit: int | None, seed: int) -> int:
     # Each streamed orientation, with and without shuffled scans, carries
     # its sorted directed edges as pairs, and its edges are what materialize
-    # makes of the same choices.
-    found = orientation._analyze(g)
-    if found is None:
+    # makes of the same choices, taken in the README's order: nodes in tree
+    # pre-order, series permutations in lexicographic order, the canonical
+    # half of a prime node before its reverse.
+    if not is_comparability(g):
         assert list(enumerate_orientations(g, limit)) == []
         return 0
-    plan = found[0]
     tree = decomposition_tree(g)
-    expected = [materialize(g, tree, c).directed for c in islice(orientation._choice_product(plan), limit)]
+    pools = []
+    for path, node in tree.walk_with_paths():
+        if node.kind == SERIES:
+            pools.append([NodeChoice(path, permutation=p) for p in permutations(range(len(node.children)))])
+        elif node.kind == PRIME:
+            pools.append([NodeChoice(path, use_reverse=flag) for flag in (False, True)])
+    expected = [materialize(g, tree, c).directed for c in islice(product(*pools), limit)]
     for shuffle in (None, random.Random(seed)):
         stream = list(enumerate_orientations(g, limit, shuffle=shuffle))
         assert [o.directed for o in stream] == expected
@@ -413,7 +431,8 @@ def test_to_json_returns_fresh_lists(fx):
 
 
 def test_first_orientation_is_built_once(fx, monkeypatch):
-    # The stream yields the orientation that the analysis verified.
+    # The analysis verifies the first selector without building its
+    # orientation; the stream builds it once.
     apply = orientation._LiftPlan.apply
     calls = []
 
@@ -437,6 +456,18 @@ def test_count_and_check_build_no_output_tables(fx, monkeypatch):
         count_orientations(g)
         is_comparability(g)
     with pytest.raises(AssertionError, match="output tables built"):
+        next(enumerate_orientations(fx["paw"]))
+
+
+def test_count_and_check_build_no_orientation(fx, monkeypatch):
+    def refuse(self, sel):
+        raise AssertionError("orientation built")
+
+    graphs = [fx["paw"], fx["p4"], fx["k4"], fx["c5"], checks.threshold_graph(30), checks.balanced_cograph(4)]
+    expected = [(count_orientations(g), is_comparability(g)) for g in graphs]
+    monkeypatch.setattr(orientation._LiftPlan, "apply", refuse)
+    assert [(count_orientations(g), is_comparability(g)) for g in graphs] == expected
+    with pytest.raises(AssertionError, match="orientation built"):
         next(enumerate_orientations(fx["paw"]))
 
 
