@@ -13,15 +13,15 @@ from .errors import DomainError
 
 
 class Graph:
-    """Undirected simple graph: ordered vertex tokens plus a set of 2-element edges.
+    """Undirected simple graph: ordered vertex tokens and one adjacency bitmask each.
 
-    Holds the vertex index, the edge set and one adjacency bitmask per
-    vertex, all built in ``__init__`` with no lazy state: immutable and safe
-    to share between threads.  Self-loops are rejected; duplicate edges
-    collapse silently (parsers count them as edge lines past ``edge_count``).
-    """
+    Holds only the vertex index and the masks, built in ``__init__``: immutable
+    and safe to share between threads.  ``edges``, ``sorted_edges`` and
+    ``edge_count`` are read off the masks per call.  Self-loops are rejected;
+    duplicate edges collapse silently (parsers count them as edge lines past
+    ``edge_count``)."""
 
-    __slots__ = ("vertices", "edges", "index", "_masks")
+    __slots__ = ("vertices", "index", "_masks")
 
     def __init__(self, vertices: Iterable, edges: Iterable[tuple] = ()):
         try:
@@ -30,7 +30,6 @@ class Graph:
             raise DomainError("vertex tokens must share a total order") from None
         index = {v: i for i, v in enumerate(vs)}
         masks = [0] * len(vs)
-        canon = set()
         for u, v in edges:
             if u == v:
                 raise DomainError(f"self-loop at vertex {u!r}")
@@ -40,10 +39,8 @@ class Graph:
                 raise DomainError(f"edge endpoint {missing!r} is not a declared vertex")
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-            canon.add((u, v) if i < j else (v, u))
         self.vertices = tuple(vs)
         self.index = index
-        self.edges = frozenset(canon)
         self._masks = masks
 
     @property
@@ -51,8 +48,13 @@ class Graph:
         return len(self.vertices)
 
     @property
+    def edges(self) -> frozenset:
+        """The edges as (smaller, larger) pairs by vertex order."""
+        return frozenset(self.sorted_edges())
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(int.bit_count, self._masks)) // 2
 
     def has_vertex(self, v) -> bool:
         return v in self.index
@@ -77,7 +79,13 @@ class Graph:
         return (u, v) if self.index[u] < self.index[v] else (v, u)
 
     def sorted_edges(self) -> list[tuple]:
-        return sorted(self.edges, key=lambda e: (self.index[e[0]], self.index[e[1]]))
+        vs, out = self.vertices, []
+        for i, m in enumerate(self._masks):
+            m >>= i + 1  # the later neighbours, as offsets past i
+            while m:
+                out.append((vs[i], vs[i + (m & -m).bit_length()]))
+                m &= m - 1
+        return out
 
     def adjacency_masks(self) -> list[int]:
         """Neighbor bitmasks aligned with the vertex index (internal tie-breaker order)."""
@@ -100,10 +108,10 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self.vertices == other.vertices and self._masks == other._masks
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, tuple(self._masks)))
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
@@ -115,8 +123,7 @@ def induced_subgraph(g: Graph, sub: Iterable) -> Graph:
     for v in xs:
         if not g.has_vertex(v):
             raise DomainError(f"vertex {v!r} is not in the graph")
-    edges = [e for e in g.edges if e[0] in xs and e[1] in xs]
-    return Graph(xs, edges)
+    return Graph(xs, [(u, v) for u, v in g.sorted_edges() if u in xs and v in xs])
 
 
 def complement(g: Graph) -> Graph:

@@ -28,8 +28,8 @@ class Orientation:
 
     ``json_pairs`` lists the ``to_json`` output as (tail, head) string
     tuples, already in sorted order; ``enumerate_orientations`` fills it
-    from its lift plan's output tables.  It takes no part in equality,
-    hashing or ``repr``, which read ``directed`` only."""
+    from its output tables.  It takes no part in equality, hashing or
+    ``repr``, which read ``directed`` only."""
 
     directed: frozenset
     json_pairs: list | None = field(default=None, compare=False, repr=False)
@@ -70,7 +70,7 @@ def _read_pairs(g: Graph, pairs: Iterable) -> tuple[frozenset, bool]:
     directed = set()
     for pair in pairs:
         try:
-            t, h = pair
+            t, h = () if isinstance(pair, (str, bytes)) else pair  # a string is no pair
         except (TypeError, ValueError):
             raise DomainError(f"{pair!r} is not a (tail, head) pair") from None
         tail = by_name.get(str(t))
@@ -125,6 +125,8 @@ def is_transitive(g: Graph, o: Orientation) -> bool:
     """True iff every directed path x->y->z closes with the edge x->z.
 
     ``DomainError`` unless ``o`` orients every edge of g exactly once."""
+    if any(isinstance(pair, (str, bytes)) for pair in o.directed):
+        raise DomainError("orientation pairs must be (tail, head) pairs")
     return _witness(g, o.directed, DomainError)
 
 
@@ -140,15 +142,16 @@ class _LiftPlan:
     node in the same order: a series node gives, per block, the bytes that
     select the run its permutation picks; a prime node gives one of two
     byte strings for its whole range.  The slot order follows the tree, not
-    the (tail, head) order of the output: ``build_output_tables`` adds the
-    gather that sorts it.
+    the (tail, head) order of the output: ``_output_tables`` sorts it for
+    ``enumerate_orientations``, and only ``materialize`` turns ``NodeChoice``s
+    into a selector.  Set once in ``__init__``, never changed after.
 
     A prime node's crossing edges are one host color, which no edge outside
     them shares (children and node are modules), so its canonical half is
     the class of its smallest crossing edge: from the first representative to
     the first one joined to it.  Read from ``_edge_classes`` labels."""
 
-    __slots__ = ("entries", "slots", "output")
+    __slots__ = ("entries", "slots")
 
     def __init__(self, g: Graph, splits: list, classes: tuple):
         # ``splits`` is ``_split``'s list (or ``_tree_splits``'s for a given
@@ -158,7 +161,6 @@ class _LiftPlan:
         # keeps its canonical and its reverse selector.
         group, root, inverse = classes
         self.entries: dict[tuple[int, ...], tuple] = {}
-        self.output: tuple | None = None
         self.slots: list = []
         lay = self.slots.extend
         runs: dict[int, tuple[bytes, bytes]] = {}  # block size -> its two run selectors
@@ -184,63 +186,16 @@ class _LiftPlan:
                 pieces = (canonical, canonical.translate(_FLIP))
             self.entries[path] = (kind, len(parts), pieces)
 
-    def build_output_tables(self, g: Graph) -> None:
-        """Let ``apply`` hand each orientation its ``to_json`` pairs.
-
-        The gather puts the slots in (tail, head) vertex-index order, which
-        is the sorted token order; each slot's string pair is built from one
-        ``str`` per vertex.  An edgeless graph has nothing to sort."""
-        if not self.slots:
-            return
-        index = g.index
-        n = len(index)
-        keys = [index[t] * n + index[h] for t, h in self.slots]
-        gather = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
-        name = {v: str(v) for v in g.vertices}
-        self.output = (gather, [(name[t], name[h]) for t, h in gather(self.slots)])
-
-    def selector(self, choices: Iterable[NodeChoice]) -> bytes:
-        # The one reader of NodeChoice: DomainError unless the choices fit the tree.
-        chosen: dict = {}
-        for c in choices:
-            if c.path in chosen:
-                raise DomainError(f"two choices for node {c.path}")
-            chosen[c.path] = c
-        if chosen.keys() != self.entries.keys():
-            missing = self.entries.keys() - chosen.keys()
-            extra = chosen.keys() - self.entries.keys()
-            raise DomainError(
-                f"choices do not match the tree (missing {sorted(missing)}, extra {sorted(extra)})"
-            )
-        parts = []  # one selector piece per block or prime node, in slot order
-        for path, (kind, k, pieces) in self.entries.items():
-            choice = chosen[path]
-            if kind == SERIES:
-                perm = choice.permutation
-                if perm is None or sorted(perm) != list(range(k)):
-                    raise DomainError(f"series node {path} needs a permutation of {k} children")
-                parts.append(_series_piece(pieces, perm))
-            elif choice.use_reverse is None:
-                raise DomainError(f"prime node {path} needs a direction flag")
-            else:
-                parts.append(pieces[1] if choice.use_reverse else pieces[0])
-        return b"".join(parts)
-
-    def apply(self, sel: bytes) -> Orientation:
-        directed = frozenset(compress(self.slots, sel))
-        if self.output is None:
-            return Orientation(directed)
-        gather, pairs = self.output
-        # A list: small tuples freed once per orientation linger in the
-        # interpreter's free lists, which raised the peak memory of a stream.
-        return Orientation(directed, list(compress(pairs, gather(sel))))
-
 
 def _series_piece(blocks: list, perm: tuple[int, ...]) -> bytes:
     # A series node's selector piece for one child order: each block's
     # forward run when child i comes before child j, else its reverse run.
     pos = sorted(range(len(perm)), key=perm.__getitem__)  # child -> its place
     return b"".join([run[pos[i] > pos[j]] for i, j, run in blocks])
+
+
+def _indices(t) -> bool:
+    return isinstance(t, tuple) and all(type(i) is int for i in t)
 
 
 def default_choices(tree: DecompositionNode) -> list[NodeChoice]:
@@ -262,7 +217,30 @@ def materialize(g: Graph, tree: DecompositionNode, choices: Iterable[NodeChoice]
     the chosen half of the quotient's color class.
     """
     plan = _LiftPlan(g, _tree_splits(g, tree)[0], _edge_classes(g))
-    return plan.apply(plan.selector(choices))
+    chosen: dict = {}
+    for c in choices:
+        if not (isinstance(c, NodeChoice) and _indices(c.path)):
+            raise DomainError(f"{c!r} is not a NodeChoice with a tuple of child indices as its path")
+        if c.path in chosen:
+            raise DomainError(f"two choices for node {c.path}")
+        chosen[c.path] = c
+    if chosen.keys() != plan.entries.keys():
+        missing = plan.entries.keys() - chosen.keys()
+        extra = chosen.keys() - plan.entries.keys()
+        raise DomainError(f"choices do not match the tree (missing {sorted(missing)}, extra {sorted(extra)})")
+    parts = []  # one selector piece per block or prime node, in slot order
+    for path, (kind, k, pieces) in plan.entries.items():
+        choice = chosen[path]
+        if kind == SERIES:
+            perm = choice.permutation
+            if not _indices(perm) or sorted(perm) != list(range(k)):
+                raise DomainError(f"series node {path} needs a permutation of {k} children")
+            parts.append(_series_piece(pieces, perm))
+        elif choice.use_reverse is None:
+            raise DomainError(f"prime node {path} needs a direction flag")
+        else:
+            parts.append(pieces[1] if choice.use_reverse else pieces[0])
+    return Orientation(frozenset(compress(plan.slots, b"".join(parts))))
 
 
 def _analyze(g: Graph, shuffle: random.Random | None = None) -> tuple[_LiftPlan, Iterator[bytes]] | None:
@@ -333,18 +311,32 @@ def enumerate_orientations(
     canonical half before its reverse.  A non-comparability graph yields an
     empty stream.  The cartesian product is generated lazily, so a ``limit``
     makes even astronomically large spaces cheap.  Each orientation carries
-    its ``to_json`` pairs, gathered from the lift plan's slot layout into
-    (tail, head) vertex order by output tables built once, after the
-    analysis, so no orientation is sorted.
+    its ``to_json`` pairs, gathered from the slot layout by output tables
+    built once after the analysis, so no orientation is sorted.
     """
     if limit is not None and limit <= 0:
         return
-    if g.vertex_count == 0:
+    if g.edge_count == 0:  # one orientation, with no pairs to sort
         yield Orientation(frozenset())
         return
     found = _analyze(g, shuffle)
     if found is not None:
         plan, selectors = found
-        plan.build_output_tables(g)
-        yield from islice(map(plan.apply, selectors), limit)
+        gather, pairs = _output_tables(g, plan.slots)
+        for sel in islice(selectors, limit):
+            # A list: small tuples freed once per orientation linger in the
+            # interpreter's free lists, which raised the peak memory of a stream.
+            yield Orientation(frozenset(compress(plan.slots, sel)), list(compress(pairs, gather(sel))))
+
+
+def _output_tables(g: Graph, slots: list) -> tuple:
+    # The gather that puts the slots in (tail, head) vertex-index order,
+    # which is the sorted token order, and each gathered slot's string pair,
+    # built from one ``str`` per vertex.  Needs two slots or more.
+    index = g.index
+    n = len(index)
+    keys = [index[t] * n + index[h] for t, h in slots]
+    gather = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
+    name = {v: str(v) for v in g.vertices}
+    return gather, [(name[t], name[h]) for t, h in gather(slots)]
 

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 
 import pytest
 
@@ -13,6 +14,7 @@ from transor import (
     directly_forces,
     is_comparability,
 )
+from transor import forcing
 from transor.decomposition import PRIME
 from transor.orientation import _analyze
 from transor.oracle import (
@@ -130,7 +132,7 @@ def test_analysis_labels_agree_with_the_color_map():
             continue
         plan, stream = found
         nodes = dict(decomposition_tree(g).walk_with_paths())
-        canonical = plan.apply(next(stream)).directed  # every prime node's first half
+        canonical = set(compress(plan.slots, next(stream)))  # every prime node's first half
         for path, (kind, _, _) in plan.entries.items():
             if kind != PRIME:
                 continue
@@ -156,6 +158,26 @@ def test_triangle_checker_clean_fixtures(fx):
     assert check_triangle_lemma(fx["k3"]) == []
     assert check_triangle_lemma(fx["paw"]) == []
     assert check_triangle_lemma(fx["c4"]) == []
+
+
+def test_triangle_checker_reports_merged_colors(fx, monkeypatch):
+    # K4 has one color per edge; a color map that merges the first two
+    # (ab and ac) breaks clauses i and ii on the triangles abd and acd.
+    real = forcing.color_classes
+
+    def merged(g):
+        a, b, *rest = real(g).colors
+        ab = forcing.ColorClass(
+            0, a.forward | b.forward, a.reverse | b.reverse, a.undirected | b.undirected, a.span | b.span, False
+        )
+        colors = (ab, *(replace(c, id=i) for i, c in enumerate(rest, 1)))
+        return forcing.ColorMap(g, colors, {e: c.id for c in colors for e in c.undirected})
+
+    monkeypatch.setattr(forcing, "color_classes", merged)
+    violations = check_triangle_lemma(fx["k4"])
+    assert len(violations) == 8
+    assert {v.clause for v in violations} == {"i", "ii"}
+    assert {v.triangle for v in violations} == {("a", "b", "d"), ("a", "c", "d")}
 
 
 def test_forcing_properties_on_small_corpus(small_bundles):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,8 @@ from transor import (
     spanned_vertices,
 )
 from transor.oracle import cycle_graph, complete_graph, fixtures, random_graph
+
+import checks
 
 
 def graphs(max_n=8):
@@ -70,8 +74,12 @@ def test_masks_has_edge_and_neighbors_agree_with_the_edge_set(seed):
 
 
 def test_edge_order_and_duplicates_do_not_change_the_graph():
-    base = random_graph(15, "1/2", 7)
-    edges = sorted(base.edges)
+    # String tokens: "10" sorts before "2", so index order is not numeric order.
+    rng = random.Random(7)
+    names = [str(i) for i in range(15)]
+    edges = sorted((u, v) for u, v in combinations(names, 2) if rng.random() < 0.5)
+    canonical = {(min(e), max(e)) for e in edges}
+    base = Graph(names, edges)
     shuffled = edges[:]
     random.Random(3).shuffle(shuffled)
     variants = [
@@ -85,15 +93,31 @@ def test_edge_order_and_duplicates_do_not_change_the_graph():
     for g in graphs:
         assert g == base and hash(g) == hash(base)
         assert g.adjacency_masks() == base.adjacency_masks()
+        assert g.sorted_edges() == sorted(canonical)
+        assert g.edges == canonical and g.edge_count == len(canonical)
 
 
 def test_graph_state_is_built_once():
     g = random_graph(10, "1/2", 1)
     before = [getattr(g, name) for name in Graph.__slots__]
-    assert Graph.__slots__ == ("vertices", "edges", "index", "_masks")
+    assert Graph.__slots__ == ("vertices", "index", "_masks")
     g.has_edge(0, 1), g.neighbors(0), hash(g), g.adjacency_masks(), g.sorted_edges()
     assert all(getattr(g, name) is value for name, value in zip(Graph.__slots__, before))
     assert g.adjacency_masks() is g.adjacency_masks()
+
+
+def test_a_graph_retains_only_its_index_and_masks():
+    # Threshold-400 has 40000 edges; a frozenset of edge pairs alone took 4 MB.
+    edges = checks.threshold_graph(400).sorted_edges()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = Graph(range(400), edges)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == len(edges)
+    assert retained < 0.5 * 2**20
 
 
 def test_induced_subgraph_on_paw():

@@ -224,11 +224,24 @@ def test_orientation_round_trip(fx):
 
 def test_malformed_pairs_are_a_domain_error(fx):
     paw = fx["paw"]
-    for bad in (("a", "b", "c"), ("a",), 5):
+    for bad in (("a", "b", "c"), ("a",), 5, "ab", b"ab"):  # unpacked, "ab" would read as (a, b)
         with pytest.raises(DomainError, match="tail, head"):
             Orientation.from_pairs(paw, [bad])
         with pytest.raises(DomainError, match="tail, head"):
             is_transitive(paw, Orientation(frozenset([bad])))
+
+
+def test_malformed_choices_are_a_domain_error(fx):
+    k3 = fx["k3"]
+    tree = decomposition_tree(k3)
+    for bad in (
+        NodeChoice((), permutation=5),
+        NodeChoice((), permutation=(0, 1, "2")),
+        ((), (0, 1, 2)),
+        NodeChoice([0], permutation=(0, 1, 2)),
+    ):
+        with pytest.raises(DomainError):
+            materialize(k3, tree, [bad])
 
 
 def test_strong_modules_of_order_examples(fx):
@@ -433,14 +446,14 @@ def test_to_json_returns_fresh_lists(fx):
 def test_first_orientation_is_built_once(fx, monkeypatch):
     # The analysis verifies the first selector without building its
     # orientation; the stream builds it once.
-    apply = orientation._LiftPlan.apply
+    build = orientation.Orientation
     calls = []
 
-    def counted(self, choices):
+    def counted(*args):
         calls.append(1)
-        return apply(self, choices)
+        return build(*args)
 
-    monkeypatch.setattr(orientation._LiftPlan, "apply", counted)
+    monkeypatch.setattr(orientation, "Orientation", counted)
     first = next(enumerate_orientations(fx["paw"]))
     assert len(calls) == 1
     assert first.to_json() == [["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"]]
@@ -448,10 +461,10 @@ def test_first_orientation_is_built_once(fx, monkeypatch):
 
 
 def test_count_and_check_build_no_output_tables(fx, monkeypatch):
-    def refuse(self, g):
+    def refuse(g, slots):
         raise AssertionError("output tables built")
 
-    monkeypatch.setattr(orientation._LiftPlan, "build_output_tables", refuse)
+    monkeypatch.setattr(orientation, "_output_tables", refuse)
     for g in (fx["paw"], fx["p4"], fx["k4"], checks.threshold_graph(30)):
         count_orientations(g)
         is_comparability(g)
@@ -460,12 +473,12 @@ def test_count_and_check_build_no_output_tables(fx, monkeypatch):
 
 
 def test_count_and_check_build_no_orientation(fx, monkeypatch):
-    def refuse(self, sel):
+    def refuse(*args):
         raise AssertionError("orientation built")
 
     graphs = [fx["paw"], fx["p4"], fx["k4"], fx["c5"], checks.threshold_graph(30), checks.balanced_cograph(4)]
     expected = [(count_orientations(g), is_comparability(g)) for g in graphs]
-    monkeypatch.setattr(orientation._LiftPlan, "apply", refuse)
+    monkeypatch.setattr(orientation, "Orientation", refuse)
     assert [(count_orientations(g), is_comparability(g)) for g in graphs] == expected
     with pytest.raises(AssertionError, match="orientation built"):
         next(enumerate_orientations(fx["paw"]))
