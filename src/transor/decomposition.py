@@ -325,14 +325,14 @@ def decomposition_tree(g: Graph, *, shuffle: random.Random | None = None) -> Dec
     return node((1 << g.vertex_count) - 1)  # the root: split first, assembled last
 
 
-def _tree_splits(g: Graph, tree: DecompositionNode) -> tuple[list, dict]:
-    """``_split``'s list for a given tree, and its internal nodes by mask.
+def _tree_splits(g: Graph, tree: DecompositionNode) -> list:
+    """``_split``'s list for a given tree.
 
     Each node's mask is built bottom-up from its leaves, so a hand-built
     tree reaches the same charge walk as a split one."""
     index = g.index
     mask: dict = {}  # id(node) -> its vertex mask
-    splits, nodes = [], {}
+    splits = []
     for node in reversed(list(tree.walk())):  # every child before its parent
         if node.children:
             parts = [mask[id(c)] for c in node.children]
@@ -340,7 +340,6 @@ def _tree_splits(g: Graph, tree: DecompositionNode) -> tuple[list, dict]:
             for p in parts:
                 x |= p
             splits.append((x, node.kind, parts))
-            nodes[x] = node
         elif len(node.vertex_set) != 1:
             raise InvariantError("a leaf is not one vertex")
         else:
@@ -352,7 +351,7 @@ def _tree_splits(g: Graph, tree: DecompositionNode) -> tuple[list, dict]:
     if x != (1 << g.vertex_count) - 1:  # x is the root's mask
         raise InvariantError("edge endpoint missing from the tree")
     splits.reverse()
-    return splits, nodes
+    return splits
 
 
 def _charge_edges(g: Graph, splits: list[tuple[int, str, list[int]]]) -> list[tuple]:

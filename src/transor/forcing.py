@@ -13,6 +13,8 @@ relation itself, as the reference).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import permutations
 
 from .errors import DomainError, InvariantError
 from .graph import Graph, spanned_vertices
@@ -20,24 +22,45 @@ from .graph import Graph, spanned_vertices
 
 @dataclass(frozen=True)
 class ColorClass:
-    """One implication class with its reverse, viewed also as undirected edges.
+    """One color: an implication class paired with its reverse, stored as one half.
 
     ``forward`` is the half containing the lexicographically smallest directed
     edge of the color (the canonical orientation used everywhere downstream);
-    ``reverse`` is its mirror.  For a self-inverse class the two coincide.
+    for a self-inverse class it holds both directions.  ``reverse``,
+    ``undirected``, ``span`` and ``self_inverse`` are read off it per call.
     """
 
     id: int
     forward: frozenset
-    reverse: frozenset
-    undirected: frozenset
-    span: frozenset
-    self_inverse: bool
+
+    @property
+    def reverse(self) -> frozenset:
+        return frozenset((h, t) for t, h in self.forward)
+
+    @property
+    def undirected(self) -> frozenset:
+        """The edges as (smaller, larger) pairs by vertex order."""
+        return frozenset(e if e[0] < e[1] else (e[1], e[0]) for e in self.forward)
+
+    @property
+    def span(self) -> frozenset:
+        return spanned_vertices(self.forward)
+
+    @property
+    def self_inverse(self) -> bool:
+        # A class and its reverse are equal or disjoint, so one edge decides.
+        for t, h in self.forward:
+            return (h, t) in self.forward
+        return False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColorMap:
-    """All color classes of a graph plus an edge-to-color lookup."""
+    """The colors of a graph, ``colors[i].id == i``, and its edge-to-color index.
+
+    ``edge_to_color`` maps each edge, as its (smaller, larger) pair by vertex
+    order, to the id of its color.
+    """
 
     graph: Graph
     colors: tuple[ColorClass, ...]
@@ -47,27 +70,6 @@ class ColorMap:
         if v is None:
             u, v = u
         return self.edge_to_color[self.graph.edge_key(u, v)]
-
-    def class_key(self, e: tuple) -> tuple[int, int]:
-        """Identity of the implication class holding a directed edge.
-
-        Returns (color id, sign): sign +1 for the forward half, -1 for the
-        reverse half, 0 when the color is self-inverse.
-        """
-        cid = self.color_of(e[0], e[1])
-        color = self.colors[cid]
-        if color.self_inverse:
-            return (cid, 0)
-        return (cid, 1 if tuple(e) in color.forward else -1)
-
-    def directed_class(self, key: tuple[int, int]) -> frozenset:
-        cid, sign = key
-        color = self.colors[cid]
-        return color.reverse if sign == -1 else color.forward
-
-    @staticmethod
-    def inverse_key(key: tuple[int, int]) -> tuple[int, int]:
-        return (key[0], -key[1])
 
 
 def directly_forces(e1: tuple, e2: tuple, g: Graph) -> bool:
@@ -146,37 +148,31 @@ def color_classes(g: Graph) -> ColorMap:
     """Partition the directed edges into implication classes and pair them into colors.
 
     The classes are ``_edge_classes``'s; edges are read in vertex order, so
-    each color's id and canonical forward half (the class of its smallest
-    directed edge) are deterministic.
+    each color's id (given when its class or the reverse first appears) and
+    canonical forward half (the class of its smallest directed edge) are
+    deterministic.  One scan builds the halves and the edge index.
     """
-    vs, index = g.vertices, g.index
+    vs = g.vertices
     group, root, inverse = _edge_classes(g)
-    halves: dict = {}  # class -> its edges, or None for the reverse of a color
+    halves: dict = {}  # class -> (color id, its edges, or None for a reverse half)
+    forward: list[list] = []  # by color id
+    edge_to_color: dict = {}
     for t, of in enumerate(group):
         for h in sorted(of):
             c = root[2 * of[h]]
-            if c not in halves:
-                halves[c] = []
-                halves.setdefault(inverse[c], None)
-            if halves[c] is not None:
-                halves[c].append((vs[t], vs[h]))
-    colors = []
-    for comp in filter(None, halves.values()):  # forward halves, in id order
-        forward = frozenset(comp)
-        reverse = frozenset((y, x) for x, y in comp)
-        undirected = frozenset(e if index[e[0]] < index[e[1]] else e[::-1] for e in forward)
-        colors.append(
-            ColorClass(
-                id=len(colors),
-                forward=forward,
-                reverse=reverse,
-                undirected=undirected,
-                span=spanned_vertices(undirected),
-                self_inverse=forward == reverse,
-            )
-        )
-    edge_to_color = {e: color.id for color in colors for e in color.undirected}
-    return ColorMap(graph=g, colors=tuple(colors), edge_to_color=edge_to_color)
+            if c not in halves:  # a new color, whose forward half is c
+                edges = []
+                halves[inverse[c]] = (len(forward), None)
+                halves[c] = (len(forward), edges)  # after the reverse: a self-inverse class keeps its edges
+                forward.append(edges)
+            cid, edges = halves[c]
+            e = (vs[t], vs[h])
+            if edges is not None:
+                edges.append(e)
+            if t < h:
+                edge_to_color[e] = cid
+    colors = tuple(ColorClass(cid, frozenset(edges)) for cid, edges in enumerate(forward))
+    return ColorMap(graph=g, colors=colors, edge_to_color=edge_to_color)
 
 
 def is_comparability(g: Graph) -> bool:
@@ -187,8 +183,6 @@ def is_comparability(g: Graph) -> bool:
     orientation of the lift plan is built and verified on bitmasks; a failure
     there is an internal invariant error, never a return value.
     """
-    if g.vertex_count == 0:
-        return True
     from .orientation import _analyze
 
     return _analyze(g) is not None
@@ -213,6 +207,21 @@ def check_triangle_lemma(g: Graph) -> list[TriangleViolation]:
     of A.  The expected result on any graph is an empty list.
     """
     cmap = color_classes(g)
+    halves = [(c.forward, c.reverse) for c in cmap.colors]
+    spans = [c.span for c in cmap.colors]
+
+    @cache
+    def key(e: tuple) -> tuple[int, int]:
+        # The class holding a directed edge: (color id, +1 for the forward
+        # half, -1 for the reverse half, 0 for a self-inverse color).
+        cid = cmap.color_of(e)
+        forward, reverse = halves[cid]
+        return (cid, (e in forward) - (e in reverse))
+
+    def members(k: tuple[int, int]) -> frozenset:
+        forward, reverse = halves[k[0]]
+        return reverse if k[1] == -1 else forward
+
     idx = g.index
     violations = []
     triangles = []
@@ -220,23 +229,17 @@ def check_triangle_lemma(g: Graph) -> list[TriangleViolation]:
         for w in g.vertices:
             if idx[w] > idx[v] and g.has_edge(u, w) and g.has_edge(v, w):
                 triangles.append((u, v, w))
-    from functools import cache
-    from itertools import permutations
-
-    key = cache(cmap.class_key)
     for tri in triangles:
         for a, b, c in permutations(tri):
             k_c = key((a, b))
             k_b = key((a, c))
             k_a = key((b, c))
-            if k_a == k_b or k_a == ColorMap.inverse_key(k_c):
+            if k_a == k_b or k_a == (k_c[0], -k_c[1]):
                 continue
-            class_a = cmap.directed_class(k_a)
-            class_c = cmap.directed_class(k_c)
             tails_of_c: dict = {}
-            for t, h in class_c:
+            for t, h in members(k_c):
                 tails_of_c.setdefault(h, []).append(t)
-            for b2, c2 in class_a:
+            for b2, c2 in members(k_a):
                 if not (g.has_edge(a, b2) and key((a, b2)) == k_c):
                     violations.append(
                         TriangleViolation(tri, "i", f"({a!r},{b2!r}) not in the class of ({a!r},{b!r})")
@@ -250,7 +253,7 @@ def check_triangle_lemma(g: Graph) -> list[TriangleViolation]:
                         violations.append(
                             TriangleViolation(tri, "ii", f"({a2!r},{c2!r}) not in the class of ({a!r},{c!r})")
                         )
-            if a in cmap.colors[k_a[0]].span:
+            if a in spans[k_a[0]]:
                 violations.append(
                     TriangleViolation(tri, "iii", f"{a!r} lies in the span of the class of ({b!r},{c!r})")
                 )

@@ -20,8 +20,8 @@ from .graph import Graph
 class Multiplex:
     """A set of colors crossing one tree node (or a single free-standing color).
 
-    ``node``/``node_path`` locate the generating tree node; both are None for
-    a bare one-color multiplex.  ``edges`` is the union of the colors'
+    ``node_path`` locates the generating tree node; it is None for a bare
+    one-color multiplex.  ``edges`` is the union of the colors'
     undirected edge sets and ``span`` the vertices they touch.
     """
 
@@ -29,7 +29,6 @@ class Multiplex:
     colors: frozenset
     edges: frozenset
     rank: int
-    node: DecompositionNode | None = None
     node_path: tuple[int, ...] | None = None
 
     def to_json_dict(self) -> dict:
@@ -50,19 +49,16 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
     """
     if cmap is None:
         cmap = color_classes(g)
-    splits, nodes = _tree_splits(g, tree)
     result = []
-    for path, (x, kind, parts), members, blocks in _charge_edges(g, splits):
-        node = nodes[x]
+    for path, (x, kind, parts), members, blocks in _charge_edges(g, _tree_splits(g, tree)):
         edges = frozenset(g.edge_key(u, v) for i, j in blocks for u in members[i] for v in members[j])
         rank = len(parts) - 1 if kind == SERIES else 1
         result.append(
             Multiplex(
-                span=node.vertex_set,
+                span=g.unmask(x),
                 colors=frozenset(cmap.color_of(e) for e in edges),
                 edges=edges,
                 rank=rank,
-                node=node,
                 node_path=path,
             )
         )

@@ -216,7 +216,7 @@ def materialize(g: Graph, tree: DecompositionNode, choices: Iterable[NodeChoice]
     permutation; prime blocks copy the direction their quotient edge takes in
     the chosen half of the quotient's color class.
     """
-    plan = _LiftPlan(g, _tree_splits(g, tree)[0], _edge_classes(g))
+    plan = _LiftPlan(g, _tree_splits(g, tree), _edge_classes(g))
     chosen: dict = {}
     for c in choices:
         if not (isinstance(c, NodeChoice) and _indices(c.path)):
@@ -233,13 +233,13 @@ def materialize(g: Graph, tree: DecompositionNode, choices: Iterable[NodeChoice]
         choice = chosen[path]
         if kind == SERIES:
             perm = choice.permutation
-            if not _indices(perm) or sorted(perm) != list(range(k)):
-                raise DomainError(f"series node {path} needs a permutation of {k} children")
+            if not _indices(perm) or sorted(perm) != list(range(k)) or choice.use_reverse is not None:
+                raise DomainError(f"series node {path} needs a permutation of {k} children and no direction flag")
             parts.append(_series_piece(pieces, perm))
-        elif choice.use_reverse is None:
-            raise DomainError(f"prime node {path} needs a direction flag")
+        elif not isinstance(choice.use_reverse, bool) or choice.permutation is not None:
+            raise DomainError(f"prime node {path} needs a bool direction flag and no permutation")
         else:
-            parts.append(pieces[1] if choice.use_reverse else pieces[0])
+            parts.append(pieces[choice.use_reverse])
     return Orientation(frozenset(compress(plan.slots, b"".join(parts))))
 
 
@@ -249,8 +249,7 @@ def _analyze(g: Graph, shuffle: random.Random | None = None) -> tuple[_LiftPlan,
     Reads union-find class labels, builds no ``ColorMap``: None when some
     class is its own reverse, else the lift plan of one tree and its stream
     of selectors, whose first is verified here on bitmasks against the
-    slots it selects (``InvariantError``).  Builds no orientation.  Needs a
-    vertex."""
+    slots it selects (``InvariantError``).  Builds no orientation."""
     classes = _edge_classes(g)
     if any(c == r for c, r in classes[2].items()):  # a class that is its own reverse
         return None
@@ -265,8 +264,6 @@ def _analyze(g: Graph, shuffle: random.Random | None = None) -> tuple[_LiftPlan,
 
 def count_orientations(g: Graph) -> int:
     """Exact number of transitive orientations, as an arbitrary-precision int."""
-    if g.vertex_count == 0:
-        return 1
     found = _analyze(g)
     if found is None:
         return 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, compress
@@ -20,6 +21,7 @@ from transor.orientation import _analyze
 from transor.oracle import (
     acceptance_corpus,
     brute_force_orientations,
+    complete_graph,
     fixtures,
     implication_classes,
     random_family,
@@ -167,9 +169,7 @@ def test_triangle_checker_reports_merged_colors(fx, monkeypatch):
 
     def merged(g):
         a, b, *rest = real(g).colors
-        ab = forcing.ColorClass(
-            0, a.forward | b.forward, a.reverse | b.reverse, a.undirected | b.undirected, a.span | b.span, False
-        )
+        ab = forcing.ColorClass(0, a.forward | b.forward)
         colors = (ab, *(replace(c, id=i) for i, c in enumerate(rest, 1)))
         return forcing.ColorMap(g, colors, {e: c.id for c in colors for e in c.undirected})
 
@@ -178,6 +178,20 @@ def test_triangle_checker_reports_merged_colors(fx, monkeypatch):
     assert len(violations) == 8
     assert {v.clause for v in violations} == {"i", "ii"}
     assert {v.triangle for v in violations} == {("a", "b", "d"), ("a", "c", "d")}
+
+
+def test_a_color_map_retains_one_half_per_color_and_its_edge_index():
+    # K120 has 7140 edges and a color per edge; four edge sets per color took 8 MB.
+    g = complete_graph(120)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cmap = color_classes(g)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cmap.colors) == g.edge_count
+    assert retained < 5 * 2**20
 
 
 def test_forcing_properties_on_small_corpus(small_bundles):

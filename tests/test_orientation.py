@@ -61,6 +61,7 @@ def test_complete_graph_counts_are_factorials():
 
 def test_count_of_trivial_graphs():
     assert count_orientations(Graph(())) == 1
+    assert is_comparability(Graph(()))
     assert count_orientations(Graph("a")) == 1
     assert count_orientations(Graph("abc")) == 1
 
@@ -239,9 +240,19 @@ def test_malformed_choices_are_a_domain_error(fx):
         NodeChoice((), permutation=(0, 1, "2")),
         ((), (0, 1, 2)),
         NodeChoice([0], permutation=(0, 1, 2)),
+        NodeChoice((), permutation=(0, 1, 2), use_reverse=False),
     ):
         with pytest.raises(DomainError):
             materialize(k3, tree, [bad])
+    p4 = fx["p4"]
+    tree = decomposition_tree(p4)
+    for bad in (
+        NodeChoice((), use_reverse="no"),
+        NodeChoice((), use_reverse=1),
+        NodeChoice((), permutation=(0, 1, 2, 3), use_reverse=False),
+    ):
+        with pytest.raises(DomainError):
+            materialize(p4, tree, [bad])
 
 
 def test_strong_modules_of_order_examples(fx):
@@ -495,7 +506,7 @@ def test_a_series_child_that_is_not_a_module_is_an_invariant_error():
     bc = DecompositionNode(frozenset("bc"), SERIES, (leaf("b"), leaf("c")))
     tree = DecompositionNode(frozenset("abc"), SERIES, (leaf("a"), bc))
     with pytest.raises(InvariantError, match="a quotient edge lifts to a non-edge"):
-        _charge_edges(p3, _tree_splits(p3, tree)[0])
+        _charge_edges(p3, _tree_splits(p3, tree))
     with pytest.raises(InvariantError, match="a quotient edge lifts to a non-edge"):
         materialize(p3, tree, default_choices(tree))
 
@@ -513,9 +524,8 @@ def test_the_tree_adaptor_refuses_a_tree_that_does_not_fit_the_graph():
 def test_the_tree_adaptor_gives_the_split_list():
     for _, g in acceptance_corpus():
         if g.vertex_count:
-            splits, nodes = _tree_splits(g, decomposition_tree(g))
+            splits = _tree_splits(g, decomposition_tree(g))
             assert splits == _split(g)
-            assert [nodes[x].kind for x, _, _ in splits] == [kind for _, kind, _ in splits]
             paths = [path for path, node in decomposition_tree(g).walk_with_paths() if node.kind in ("series", "prime")]
             assert [path for path, *_ in _charge_edges(g, splits)] == paths
 
