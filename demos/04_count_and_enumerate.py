@@ -8,6 +8,7 @@ from transor import (
     count_orientations,
     enumerate_orientations,
     is_transitive,
+    orientation_at,
     parse_edge_list,
 )
 from transor.oracle import complete_graph, cycle_graph, fixtures
@@ -30,6 +31,20 @@ print("\ncount for K21:", count_orientations(complete_graph(21)))
 # cost nothing.
 first = list(islice(enumerate_orientations(complete_graph(21)), 2))
 print("first K21 orientation starts with:", first[0].sorted_pairs()[:5])
+
+# Every orientation has a rank: its place in the enumeration order, whose
+# mixed-radix digits are the per-node choices.  orientation_at builds one
+# rank directly; K12 orients as a linear order, and rank 12! - 1 is the
+# reverse of rank 0.
+k12 = complete_graph(12)
+rank = count_orientations(k12) // 2
+middle = orientation_at(k12, rank)
+print(f"\nK12 orientation at rank {rank}, built without enumerating:")
+tails = [t for t, _ in middle.directed]  # a vertex is the tail of one edge per later vertex
+print("  linear order:", " < ".join(sorted(k12.vertices, key=tails.count, reverse=True)))
+print("  transitive:", is_transitive(k12, middle))
+last = orientation_at(k12, count_orientations(k12) - 1)
+print("  the last rank reverses the first:", last.directed == {(h, t) for t, h in orientation_at(k12, 0).directed})
 
 print("\nfixture counts:")
 for name, g in fixtures().items():

@@ -43,13 +43,11 @@ from .multiplex import (
     simplex_extension_exists,
 )
 from .orientation import (
-    NodeChoice,
     Orientation,
     count_orientations,
-    default_choices,
     enumerate_orientations,
     is_transitive,
-    materialize,
+    orientation_at,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +69,6 @@ __all__ = [
     "Graph",
     "InvariantError",
     "Multiplex",
-    "NodeChoice",
     "OracleScaleError",
     "Orientation",
     "ParseError",
@@ -85,7 +82,6 @@ __all__ = [
     "connected_components",
     "count_orientations",
     "decomposition_tree",
-    "default_choices",
     "directly_forces",
     "enumerate_orientations",
     "induced_subgraph",
@@ -94,10 +90,10 @@ __all__ = [
     "is_module",
     "is_strong_module",
     "is_transitive",
-    "materialize",
     "maximal_strong_partition",
     "multiplex_partition",
     "oracle",
+    "orientation_at",
     "parse_dimacs",
     "parse_edge_list",
     "parse_graph",

@@ -13,8 +13,8 @@ relation itself, as the reference).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import permutations
+from typing import Iterator
 
 from .errors import DomainError, InvariantError
 from .graph import Graph, spanned_vertices
@@ -209,47 +209,43 @@ def check_triangle_lemma(g: Graph) -> list[TriangleViolation]:
     cmap = color_classes(g)
     halves = [(c.forward, c.reverse) for c in cmap.colors]
     spans = [c.span for c in cmap.colors]
-
-    @cache
-    def key(e: tuple) -> tuple[int, int]:
-        # The class holding a directed edge: (color id, +1 for the forward
-        # half, -1 for the reverse half, 0 for a self-inverse color).
-        cid = cmap.color_of(e)
+    # The class of each directed edge, as (color id, +1 for the forward half,
+    # -1 for the reverse half, 0 for a self-inverse color), and each class's
+    # edges and their tails by head, built once.
+    key: dict = {}
+    for (u, v), cid in cmap.edge_to_color.items():
         forward, reverse = halves[cid]
-        return (cid, (e in forward) - (e in reverse))
-
-    def members(k: tuple[int, int]) -> frozenset:
+        for e in ((u, v), (v, u)):
+            key[e] = (cid, (e in forward) - (e in reverse))
+    edges_of: dict = {}
+    tails_of: dict = {}
+    for k in set(key.values()):
         forward, reverse = halves[k[0]]
-        return reverse if k[1] == -1 else forward
+        edges = edges_of[k] = list(reverse if k[1] == -1 else forward)
+        tails = tails_of[k] = {}
+        for t, h in edges:
+            tails.setdefault(h, []).append(t)
 
-    idx = g.index
     violations = []
-    triangles = []
-    for u, v in g.sorted_edges():
-        for w in g.vertices:
-            if idx[w] > idx[v] and g.has_edge(u, w) and g.has_edge(v, w):
-                triangles.append((u, v, w))
-    for tri in triangles:
+    for tri in _triangles(g):
         for a, b, c in permutations(tri):
-            k_c = key((a, b))
-            k_b = key((a, c))
-            k_a = key((b, c))
+            k_c = key[a, b]
+            k_b = key[a, c]
+            k_a = key[b, c]
             if k_a == k_b or k_a == (k_c[0], -k_c[1]):
                 continue
-            tails_of_c: dict = {}
-            for t, h in members(k_c):
-                tails_of_c.setdefault(h, []).append(t)
-            for b2, c2 in members(k_a):
-                if not (g.has_edge(a, b2) and key((a, b2)) == k_c):
+            tails_of_c = tails_of[k_c]
+            for b2, c2 in edges_of[k_a]:
+                if key.get((a, b2)) != k_c:
                     violations.append(
                         TriangleViolation(tri, "i", f"({a!r},{b2!r}) not in the class of ({a!r},{b!r})")
                     )
-                if not (g.has_edge(a, c2) and key((a, c2)) == k_b):
+                if key.get((a, c2)) != k_b:
                     violations.append(
                         TriangleViolation(tri, "i", f"({a!r},{c2!r}) not in the class of ({a!r},{c!r})")
                     )
                 for a2 in tails_of_c.get(b2, ()):
-                    if not (g.has_edge(a2, c2) and key((a2, c2)) == k_b):
+                    if key.get((a2, c2)) != k_b:
                         violations.append(
                             TriangleViolation(tri, "ii", f"({a2!r},{c2!r}) not in the class of ({a!r},{c!r})")
                         )
@@ -258,3 +254,22 @@ def check_triangle_lemma(g: Graph) -> list[TriangleViolation]:
                     TriangleViolation(tri, "iii", f"{a!r} lies in the span of the class of ({b!r},{c!r})")
                 )
     return violations
+
+
+def _triangles(g: Graph) -> Iterator[tuple]:
+    # Every triangle once, as its vertices in index order i < j < l, read
+    # off the adjacency masks.
+    vs = g.vertices
+    masks = g.adjacency_masks()
+    for i, m in enumerate(masks):
+        later = m >> (i + 1) << (i + 1)
+        rest = later
+        while rest:
+            bj = rest & -rest
+            rest ^= bj
+            j = bj.bit_length() - 1
+            common = later & masks[j] >> (j + 1) << (j + 1)
+            while common:
+                bl = common & -common
+                common ^= bl
+                yield vs[i], vs[j], vs[bl.bit_length() - 1]

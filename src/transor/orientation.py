@@ -5,7 +5,8 @@ of child order (k! options, edges point from earlier to later blocks), a
 prime node contributes a binary choice between the two halves of its
 quotient's single color class, and the choices at different nodes never
 interact.  The count is therefore a product, and enumeration is the cartesian
-product of per-node choices in a fixed lexicographic order.
+product of per-node choices in a fixed lexicographic order, so each
+orientation has a mixed-radix rank whose digits are its choices.
 """
 from __future__ import annotations
 
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, islice, permutations, product
 from math import factorial, prod
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Sequence
 
-from .decomposition import DecompositionNode, PRIME, SERIES, _charge_edges, _split, _tree_splits
+from .decomposition import PRIME, SERIES, _charge_edges, _split
 from .errors import DomainError, InvariantError
 from .forcing import _edge_classes
 from .graph import Graph
@@ -27,12 +28,13 @@ class Orientation:
     """A full assignment of one direction per edge of a host graph.
 
     ``json_pairs`` lists the ``to_json`` output as (tail, head) string
-    tuples, already in sorted order; ``enumerate_orientations`` fills it
-    from its output tables.  It takes no part in equality, hashing or
+    tuples, already in sorted order; only ``enumerate_orientations`` sets
+    it, from its output tables, so it always agrees with ``directed``.  It
+    is no constructor argument and takes no part in equality, hashing or
     ``repr``, which read ``directed`` only."""
 
     directed: frozenset
-    json_pairs: list | None = field(default=None, compare=False, repr=False)
+    json_pairs: list | None = field(default=None, init=False, compare=False, repr=False)
 
     def direction_of(self, u, v) -> tuple:
         if (u, v) in self.directed:
@@ -79,24 +81,11 @@ def _read_pairs(g: Graph, pairs: Iterable) -> tuple[frozenset, bool]:
             raise DomainError(f"unknown vertex in pair {pair!r}")
         if not g.has_edge(tail, head):
             raise DomainError(f"{pair!r} is not an edge of the graph")
+        if (tail, head) in directed:
+            raise DomainError(f"{pair!r} is listed twice")
         directed.add((tail, head))
     directed = frozenset(directed)
     return directed, _witness(g, directed, DomainError)
-
-
-@dataclass(frozen=True)
-class NodeChoice:
-    """The local decision at one tree node.
-
-    Series nodes carry a permutation of child indices (position in the tuple
-    is the block's place in the linear order); prime nodes carry a flag that
-    selects the reverse half of the quotient color instead of the canonical
-    forward half.
-    """
-
-    path: tuple[int, ...]
-    permutation: tuple[int, ...] | None = None
-    use_reverse: bool | None = None
 
 
 def _witness(g: Graph, pairs: Collection, error: type[Exception]) -> bool:
@@ -143,8 +132,8 @@ class _LiftPlan:
     select the run its permutation picks; a prime node gives one of two
     byte strings for its whole range.  The slot order follows the tree, not
     the (tail, head) order of the output: ``_output_tables`` sorts it for
-    ``enumerate_orientations``, and only ``materialize`` turns ``NodeChoice``s
-    into a selector.  Set once in ``__init__``, never changed after.
+    ``enumerate_orientations``.  Set once in ``__init__``, never changed
+    after.
 
     A prime node's crossing edges are one host color, which no edge outside
     them shares (children and node are modules), so its canonical half is
@@ -154,17 +143,17 @@ class _LiftPlan:
     __slots__ = ("entries", "slots")
 
     def __init__(self, g: Graph, splits: list, classes: tuple):
-        # ``splits`` is ``_split``'s list (or ``_tree_splits``'s for a given
-        # tree).  entries: path -> (kind, child count, pieces).  A series
-        # node keeps (i, j, run) per block, where run[False] selects the
-        # block's forward run and run[True] its reverse run; a prime node
-        # keeps its canonical and its reverse selector.
+        # entries: (kind, child count, pieces) per series and prime node of
+        # ``_split``'s list, in its pre-order.  A series node keeps (i, j,
+        # run) per block, where run[False] selects the block's forward run
+        # and run[True] its reverse run; a prime node keeps its canonical
+        # and its reverse selector.
         group, root, inverse = classes
-        self.entries: dict[tuple[int, ...], tuple] = {}
+        self.entries: list[tuple] = []
         self.slots: list = []
         lay = self.slots.extend
         runs: dict[int, tuple[bytes, bytes]] = {}  # block size -> its two run selectors
-        for path, (_, kind, parts), members, blocks in _charge_edges(g, splits):
+        for _, (_, kind, parts), members, blocks in _charge_edges(g, splits):
             pieces = []
             for i, j in blocks:
                 lay(product(members[i], members[j]))
@@ -180,67 +169,16 @@ class _LiftPlan:
                 forward = label[0]
                 if not set(label) <= {forward, inverse[forward]}:
                     raise InvariantError("prime quotient does not have a single color")
-                if inverse[forward] == forward:
-                    raise DomainError("prime quotient is not transitively orientable")
                 canonical = b"".join([run[c != forward] for (_, _, run), c in zip(pieces, label)])
                 pieces = (canonical, canonical.translate(_FLIP))
-            self.entries[path] = (kind, len(parts), pieces)
+            self.entries.append((kind, len(parts), pieces))
 
 
-def _series_piece(blocks: list, perm: tuple[int, ...]) -> bytes:
+def _series_piece(blocks: list, perm: Sequence[int]) -> bytes:
     # A series node's selector piece for one child order: each block's
     # forward run when child i comes before child j, else its reverse run.
     pos = sorted(range(len(perm)), key=perm.__getitem__)  # child -> its place
     return b"".join([run[pos[i] > pos[j]] for i, j, run in blocks])
-
-
-def _indices(t) -> bool:
-    return isinstance(t, tuple) and all(type(i) is int for i in t)
-
-
-def default_choices(tree: DecompositionNode) -> list[NodeChoice]:
-    """The lexicographically first choice at every series/prime node."""
-    out = []
-    for path, node in tree.walk_with_paths():
-        if node.kind == SERIES:
-            out.append(NodeChoice(path, permutation=tuple(range(len(node.children)))))
-        elif node.kind == PRIME:
-            out.append(NodeChoice(path, use_reverse=False))
-    return out
-
-
-def materialize(g: Graph, tree: DecompositionNode, choices: Iterable[NodeChoice]) -> Orientation:
-    """Turn one choice per series/prime node into a concrete orientation.
-
-    Series blocks are directed from earlier to later children in the chosen
-    permutation; prime blocks copy the direction their quotient edge takes in
-    the chosen half of the quotient's color class.
-    """
-    plan = _LiftPlan(g, _tree_splits(g, tree), _edge_classes(g))
-    chosen: dict = {}
-    for c in choices:
-        if not (isinstance(c, NodeChoice) and _indices(c.path)):
-            raise DomainError(f"{c!r} is not a NodeChoice with a tuple of child indices as its path")
-        if c.path in chosen:
-            raise DomainError(f"two choices for node {c.path}")
-        chosen[c.path] = c
-    if chosen.keys() != plan.entries.keys():
-        missing = plan.entries.keys() - chosen.keys()
-        extra = chosen.keys() - plan.entries.keys()
-        raise DomainError(f"choices do not match the tree (missing {sorted(missing)}, extra {sorted(extra)})")
-    parts = []  # one selector piece per block or prime node, in slot order
-    for path, (kind, k, pieces) in plan.entries.items():
-        choice = chosen[path]
-        if kind == SERIES:
-            perm = choice.permutation
-            if not _indices(perm) or sorted(perm) != list(range(k)) or choice.use_reverse is not None:
-                raise DomainError(f"series node {path} needs a permutation of {k} children and no direction flag")
-            parts.append(_series_piece(pieces, perm))
-        elif not isinstance(choice.use_reverse, bool) or choice.permutation is not None:
-            raise DomainError(f"prime node {path} needs a bool direction flag and no permutation")
-        else:
-            parts.append(pieces[choice.use_reverse])
-    return Orientation(frozenset(compress(plan.slots, b"".join(parts))))
 
 
 def _analyze(g: Graph, shuffle: random.Random | None = None) -> tuple[_LiftPlan, Iterator[bytes]] | None:
@@ -267,7 +205,49 @@ def count_orientations(g: Graph) -> int:
     found = _analyze(g)
     if found is None:
         return 0
-    return prod(factorial(k) if kind == SERIES else 2 for kind, k, _ in found[0].entries.values())
+    return prod(_radices(found[0]))
+
+
+def _radices(plan: _LiftPlan) -> list[int]:
+    # The number of choices at each node: c! orders of a series node's c
+    # children, the two halves of a prime node.
+    return [factorial(c) if kind == SERIES else 2 for kind, c, _ in plan.entries]
+
+
+def orientation_at(g: Graph, k: int) -> Orientation:
+    """The orientation at rank ``k`` of ``enumerate_orientations(g)``.
+
+    Built directly, without the ones before it.  A rank is a mixed-radix
+    number with one digit per series and prime node, the first node in tree
+    pre-order the most significant: a series node of c children has c!
+    values, its child orders in lexicographic order, and a prime node two,
+    its canonical half first.  ``DomainError`` when g is not a comparability
+    graph, or ``k`` is not an int in ``0..count - 1``."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise DomainError(f"rank {k!r} is not an int")
+    found = _analyze(g)
+    if found is None:
+        raise DomainError("the graph is not a comparability graph")
+    plan = found[0]
+    radices = _radices(plan)
+    count = prod(radices)
+    if not 0 <= k < count:
+        raise DomainError(f"rank {k} is outside 0..{count - 1}")
+    parts = []  # one selector piece per node, the last node's first
+    for (kind, c, pieces), radix in zip(reversed(plan.entries), reversed(radices)):
+        k, digit = divmod(k, radix)
+        if kind != SERIES:
+            parts.append(pieces[digit])
+            continue
+        pool = list(range(c))  # the child order of rank ``digit``, by its factorial-base digits
+        perm = []
+        for i in range(c, 0, -1):
+            radix //= i
+            place, digit = divmod(digit, radix)
+            perm.append(pool.pop(place))
+        parts.append(_series_piece(pieces, perm))
+    parts.reverse()
+    return Orientation(frozenset(compress(plan.slots, b"".join(parts))))
 
 
 def _selectors(plan: _LiftPlan) -> Iterator[bytes]:
@@ -280,7 +260,7 @@ def _selectors(plan: _LiftPlan) -> Iterator[bytes]:
             return (_series_piece(pieces, perm) for perm in permutations(range(k)))
         return iter(pieces)
 
-    space = list(plan.entries.values())
+    space = plan.entries
     digits = [options(*node) for node in space]
     combo = [next(d) for d in digits]
     while True:
@@ -305,8 +285,8 @@ def enumerate_orientations(
 
     Nodes are visited in tree pre-order; series permutations run in
     lexicographic order of child representatives and prime nodes emit the
-    canonical half before its reverse.  A non-comparability graph yields an
-    empty stream.  The cartesian product is generated lazily, so a ``limit``
+    canonical half before its reverse; the k-th is ``orientation_at(g, k)``.
+    A non-comparability graph yields an empty stream.  The cartesian product is generated lazily, so a ``limit``
     makes even astronomically large spaces cheap.  Each orientation carries
     its ``to_json`` pairs, gathered from the slot layout by output tables
     built once after the analysis, so no orientation is sorted.
@@ -321,9 +301,11 @@ def enumerate_orientations(
         plan, selectors = found
         gather, pairs = _output_tables(g, plan.slots)
         for sel in islice(selectors, limit):
+            o = Orientation(frozenset(compress(plan.slots, sel)))
             # A list: small tuples freed once per orientation linger in the
             # interpreter's free lists, which raised the peak memory of a stream.
-            yield Orientation(frozenset(compress(plan.slots, sel)), list(compress(pairs, gather(sel))))
+            object.__setattr__(o, "json_pairs", list(compress(pairs, gather(sel))))
+            yield o
 
 
 def _output_tables(g: Graph, slots: list) -> tuple:

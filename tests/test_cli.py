@@ -154,6 +154,14 @@ def test_verify_verdicts(write, capsys):
     assert code == 64 and "error" in err
 
 
+def test_verify_refuses_a_repeated_pair(write, capsys):
+    graph = write("paw.edges", PAW)
+    repeated = write("repeated.json", '[["a","b"],["a","b"],["a","c"],["a","d"],["b","c"]]')
+    code, out, err = run(capsys, "verify", "--orientation", repeated, graph)
+    assert (code, out) == (64, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "twice" in err
+
+
 def test_verify_runs_the_witness_once(write, capsys, monkeypatch):
     calls = []
     witness = orientation._witness

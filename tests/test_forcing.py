@@ -16,7 +16,7 @@ from transor import (
     is_comparability,
 )
 from transor import forcing
-from transor.decomposition import PRIME
+from transor.decomposition import PRIME, SERIES
 from transor.orientation import _analyze
 from transor.oracle import (
     acceptance_corpus,
@@ -133,13 +133,14 @@ def test_analysis_labels_agree_with_the_color_map():
         if found is None:
             continue
         plan, stream = found
-        nodes = dict(decomposition_tree(g).walk_with_paths())
         canonical = set(compress(plan.slots, next(stream)))  # every prime node's first half
-        for path, (kind, _, _) in plan.entries.items():
+        nodes = [node for _, node in decomposition_tree(g).walk_with_paths() if node.kind in (SERIES, PRIME)]
+        for (kind, _, _), node in zip(plan.entries, nodes, strict=True):
             if kind != PRIME:
                 continue
+            assert node.kind == PRIME
             primes += 1
-            for u, v in combinations(nodes[path].representatives, 2):
+            for u, v in combinations(node.representatives, 2):
                 if g.has_edge(u, v):
                     assert ((u, v) in canonical) == ((u, v) in cmap.colors[cmap.color_of(u, v)].forward)
     assert primes > 100
@@ -160,6 +161,8 @@ def test_triangle_checker_clean_fixtures(fx):
     assert check_triangle_lemma(fx["k3"]) == []
     assert check_triangle_lemma(fx["paw"]) == []
     assert check_triangle_lemma(fx["c4"]) == []
+    assert check_triangle_lemma(checks.threshold_graph(60)) == []
+    assert check_triangle_lemma(checks.random_poset_graph(60, Fraction(1, 6), 60)) == []
 
 
 def test_triangle_checker_reports_merged_colors(fx, monkeypatch):

@@ -4,8 +4,9 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import islice, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import factorial
+from typing import Iterator
 
 import pytest
 
@@ -13,16 +14,15 @@ from transor import (
     DomainError,
     Graph,
     InvariantError,
-    NodeChoice,
     Orientation,
     color_classes,
     count_orientations,
     decomposition_tree,
-    default_choices,
     enumerate_orientations,
     is_comparability,
     is_transitive,
-    materialize,
+    multiplex_partition,
+    orientation_at,
     strong_modules_of_order,
 )
 from transor import forcing, orientation
@@ -97,44 +97,39 @@ def test_enumerate_huge_space_is_lazy():
     assert is_transitive(k20, first)
 
 
-def test_materialize_series_linear_order(fx):
-    k3 = fx["k3"]
-    tree = decomposition_tree(k3)
-    o = materialize(k3, tree, [NodeChoice((), permutation=(0, 1, 2))])
+def test_rank_zero_of_a_series_node_is_the_child_order(fx):
+    o = orientation_at(fx["k3"], 0)
     assert o.sorted_pairs() == [("a", "b"), ("a", "c"), ("b", "c")]
 
 
-def test_materialize_blockwise_lift(fx):
+def test_a_rank_lifts_blockwise(fx):
     c4 = fx["c4"]
-    tree = decomposition_tree(c4)
-    o = materialize(c4, tree, [NodeChoice((), permutation=(0, 1))])
+    o = orientation_at(c4, 0)
     assert o.sorted_pairs() == [("a", "b"), ("a", "d"), ("c", "b"), ("c", "d")]
     assert is_transitive(c4, o)
 
 
-def test_materialize_prime_class_choice(fx):
+def test_the_ranks_of_a_prime_node_are_its_two_halves(fx):
     p4 = fx["p4"]
-    tree = decomposition_tree(p4)
-    forward = materialize(p4, tree, [NodeChoice((), use_reverse=False)])
-    assert forward.directed == {("a", "b"), ("c", "b"), ("c", "d")}
-    backward = materialize(p4, tree, [NodeChoice((), use_reverse=True)])
-    assert backward.directed == {("b", "a"), ("b", "c"), ("d", "c")}
+    assert orientation_at(p4, 0).directed == {("a", "b"), ("c", "b"), ("c", "d")}
+    assert orientation_at(p4, 1).directed == {("b", "a"), ("b", "c"), ("d", "c")}
 
 
-def test_materialize_refuses_two_choices_for_one_node(fx):
+def test_the_last_rank_of_a_complete_graph_reverses_the_first():
+    for n in (2, 3, 6):
+        k = complete_graph(n)
+        first = orientation_at(k, 0).directed
+        assert orientation_at(k, factorial(n) - 1).directed == {(h, t) for t, h in first}
+
+
+def test_ranks_outside_the_stream_are_a_domain_error(fx):
     p4 = fx["p4"]
-    tree = decomposition_tree(p4)
-    with pytest.raises(DomainError, match=r"two choices for node \(\)"):
-        materialize(p4, tree, [NodeChoice((), use_reverse=False), NodeChoice((), use_reverse=True)])
-
-
-def test_materialize_requires_every_choice(fx):
-    paw = fx["paw"]
-    tree = decomposition_tree(paw)
-    with pytest.raises(DomainError):
-        materialize(paw, tree, [NodeChoice((), permutation=(0, 1))])
-    with pytest.raises(DomainError):
-        materialize(paw, tree, default_choices(tree) + [NodeChoice((9,), permutation=(0,))])
+    for bad in (-1, 2, 2**70, True, False, 1.0, "0", None):
+        with pytest.raises(DomainError, match="rank"):
+            orientation_at(p4, bad)
+    assert orientation_at(Graph(()), 0) == orientation_at(Graph("ab"), 0) == Orientation(frozenset())
+    with pytest.raises(DomainError, match="rank"):
+        orientation_at(Graph("ab"), 1)
 
 
 def test_is_transitive_examples(fx):
@@ -208,10 +203,9 @@ def test_prime_blocks_in_two_colors_are_an_invariant_error(fx, monkeypatch):
             verb(fx["p4"])
 
 
-def test_materialize_refuses_a_self_inverse_prime_color(fx):
-    c5 = fx["c5"]
-    with pytest.raises(DomainError, match="not transitively orientable"):
-        materialize(c5, decomposition_tree(c5), [NodeChoice((), use_reverse=False)])
+def test_a_graph_with_a_self_inverse_color_has_no_rank(fx):
+    with pytest.raises(DomainError, match="not a comparability graph"):
+        orientation_at(fx["c5"], 0)
 
 
 def test_orientation_round_trip(fx):
@@ -223,6 +217,18 @@ def test_orientation_round_trip(fx):
         Orientation.from_pairs(paw, [["a", "z"]])
 
 
+def test_a_repeated_pair_is_a_domain_error(fx):
+    pairs = [("a", "b"), ("a", "b"), ("a", "c"), ("a", "d"), ("b", "c")]
+    with pytest.raises(DomainError, match="listed twice"):
+        Orientation.from_pairs(fx["paw"], pairs)
+
+
+def test_json_pairs_are_no_constructor_argument():
+    with pytest.raises(TypeError):
+        Orientation(frozenset({("a", "b")}), [("x", "y")])
+    assert Orientation(frozenset({("a", "b")})).to_json() == [["a", "b"]]
+
+
 def test_malformed_pairs_are_a_domain_error(fx):
     paw = fx["paw"]
     for bad in (("a", "b", "c"), ("a",), 5, "ab", b"ab"):  # unpacked, "ab" would read as (a, b)
@@ -230,29 +236,6 @@ def test_malformed_pairs_are_a_domain_error(fx):
             Orientation.from_pairs(paw, [bad])
         with pytest.raises(DomainError, match="tail, head"):
             is_transitive(paw, Orientation(frozenset([bad])))
-
-
-def test_malformed_choices_are_a_domain_error(fx):
-    k3 = fx["k3"]
-    tree = decomposition_tree(k3)
-    for bad in (
-        NodeChoice((), permutation=5),
-        NodeChoice((), permutation=(0, 1, "2")),
-        ((), (0, 1, 2)),
-        NodeChoice([0], permutation=(0, 1, 2)),
-        NodeChoice((), permutation=(0, 1, 2), use_reverse=False),
-    ):
-        with pytest.raises(DomainError):
-            materialize(k3, tree, [bad])
-    p4 = fx["p4"]
-    tree = decomposition_tree(p4)
-    for bad in (
-        NodeChoice((), use_reverse="no"),
-        NodeChoice((), use_reverse=1),
-        NodeChoice((), permutation=(0, 1, 2, 3), use_reverse=False),
-    ):
-        with pytest.raises(DomainError):
-            materialize(p4, tree, [bad])
 
 
 def test_strong_modules_of_order_examples(fx):
@@ -402,23 +385,50 @@ def test_deep_tree_equality_hash_and_repr_need_no_recursion():
     assert text.startswith("DecompositionNode(vertex_set=frozenset({") and text.count("DecompositionNode(") == 2 * n - 1
 
 
-def _stream_matches_materialize(g: Graph, limit: int | None, seed: int) -> int:
+def _lifted(g: Graph, limit: int | None) -> Iterator[frozenset]:
+    # The README's order, lifted from the tree and the color map alone:
+    # nodes in tree pre-order, a series node's child orders in lexicographic
+    # order, each crossing edge directed from the child placed earlier to
+    # the later one; a prime node's crossing edges as the forward half of
+    # their color, then reversed.
+    cmap = color_classes(g)
+    nodes, pools = [], []
+    for _, node in decomposition_tree(g).walk_with_paths():
+        if node.kind == SERIES:
+            pools.append(list(permutations(range(len(node.children)))))
+        elif node.kind == PRIME:
+            pools.append([False, True])
+        else:
+            continue
+        nodes.append(node)
+    for choices in islice(product(*pools), limit):
+        directed = set()
+        for node, choice in zip(nodes, choices):
+            if node.kind == SERIES:
+                place = {child: p for p, child in enumerate(choice)}
+            for i, j in combinations(range(len(node.children)), 2):
+                for u in node.children[i].vertex_set:
+                    for v in node.children[j].vertex_set:
+                        if not g.has_edge(u, v):
+                            continue
+                        if node.kind == SERIES:
+                            directed.add((u, v) if place[i] < place[j] else (v, u))
+                        else:
+                            e = (u, v) if (u, v) in cmap.colors[cmap.color_of(u, v)].forward else (v, u)
+                            directed.add(e[::-1] if choice else e)
+        yield frozenset(directed)
+
+
+def _stream_matches_the_lifter(g: Graph, limit: int | None, seed: int) -> int:
     # Each streamed orientation, with and without shuffled scans, carries
-    # its sorted directed edges as pairs, and its edges are what materialize
-    # makes of the same choices, taken in the README's order: nodes in tree
-    # pre-order, series permutations in lexicographic order, the canonical
-    # half of a prime node before its reverse.
+    # its sorted directed edges as pairs, its edges are what the test's
+    # lifter makes of the same choices, and the k-th is orientation_at(g, k).
     if not is_comparability(g):
         assert list(enumerate_orientations(g, limit)) == []
+        with pytest.raises(DomainError):
+            orientation_at(g, 0)
         return 0
-    tree = decomposition_tree(g)
-    pools = []
-    for path, node in tree.walk_with_paths():
-        if node.kind == SERIES:
-            pools.append([NodeChoice(path, permutation=p) for p in permutations(range(len(node.children)))])
-        elif node.kind == PRIME:
-            pools.append([NodeChoice(path, use_reverse=flag) for flag in (False, True)])
-    expected = [materialize(g, tree, c).directed for c in islice(product(*pools), limit)]
+    expected = list(_lifted(g, limit))
     for shuffle in (None, random.Random(seed)):
         stream = list(enumerate_orientations(g, limit, shuffle=shuffle))
         assert [o.directed for o in stream] == expected
@@ -427,11 +437,12 @@ def _stream_matches_materialize(g: Graph, limit: int | None, seed: int) -> int:
             assert o.to_json() == [[str(t), str(h)] for t, h in sorted(o.directed)]
             plain = Orientation(o.directed)
             assert plain == o and hash(plain) == hash(o) and repr(plain) == repr(o)
+    assert [orientation_at(g, k) for k in range(len(stream))] == stream
     return len(expected)
 
 
 def test_streamed_pairs_match_sorting_on_the_acceptance_corpus():
-    emitted = sum(_stream_matches_materialize(g, None, i) for i, (_, g) in enumerate(acceptance_corpus()) if g.vertex_count)
+    emitted = sum(_stream_matches_the_lifter(g, None, i) for i, (_, g) in enumerate(acceptance_corpus()) if g.vertex_count)
     assert emitted > 3000
 
 
@@ -443,7 +454,7 @@ def test_streamed_pairs_match_sorting_past_oracle_scale(n):
         checks.balanced_cograph(n.bit_length() - 1),  # 16, 32 and 64 vertices
     ]
     for g in graphs:
-        assert _stream_matches_materialize(g, 40, n) == min(40, count_orientations(g))
+        assert _stream_matches_the_lifter(g, 40, n) == min(40, count_orientations(g))
 
 
 def test_to_json_returns_fresh_lists(fx):
@@ -508,7 +519,7 @@ def test_a_series_child_that_is_not_a_module_is_an_invariant_error():
     with pytest.raises(InvariantError, match="a quotient edge lifts to a non-edge"):
         _charge_edges(p3, _tree_splits(p3, tree))
     with pytest.raises(InvariantError, match="a quotient edge lifts to a non-edge"):
-        materialize(p3, tree, default_choices(tree))
+        multiplex_partition(p3, tree)
 
 
 def test_the_tree_adaptor_refuses_a_tree_that_does_not_fit_the_graph():
