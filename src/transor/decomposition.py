@@ -225,16 +225,27 @@ def _prime_parts(masks: list[int], x: int, shuffle: random.Random | None) -> lis
     return family
 
 
-def _strong_parts(masks: list[int], x: int, shuffle: random.Random | None) -> tuple[str, list[int]]:
-    # The maximal strong modules of the subgraph induced on x (two or more
-    # vertices), as masks by lowest vertex, checked to be modules (their own
-    # closures), pairwise disjoint and covering x; and the node kind, which is
-    # the case that split x (Gallai 1967).
+def _scan(masks: list[int], x: int) -> tuple[str, list[int] | None]:
+    # The node kind of x (two or more vertices) by the component scans, and
+    # its components or co-components; None for the parts of a prime node,
+    # which is connected and co-connected (Gallai 1967).
     kind, parts = PARALLEL, mask_components(masks, x)
     if len(parts) == 1:
         kind, parts = SERIES, mask_components(masks, x, co=True)
     if len(parts) == 1:
-        kind, parts = PRIME, _prime_parts(masks, x, shuffle)
+        return PRIME, None
+    return kind, parts
+
+
+def _strong_parts(masks: list[int], x: int, shuffle: random.Random | None,
+                  scanned: tuple | None = None) -> tuple[str, list[int]]:
+    # The maximal strong modules of the subgraph induced on x (two or more
+    # vertices), as masks by lowest vertex, checked to be modules (their own
+    # closures), pairwise disjoint and covering x; and the node kind, which is
+    # the case that split x.  ``scanned`` is ``_scan``'s answer when known.
+    kind, parts = scanned or _scan(masks, x)
+    if parts is None:
+        parts = _prime_parts(masks, x, shuffle)
     covered = 0
     for p in parts:
         if p & covered:
@@ -288,17 +299,46 @@ def quotient(g: Graph, partition) -> Graph:
     return Graph(reps, edges)
 
 
-def _split(g: Graph, shuffle: random.Random | None = None) -> list[tuple[int, str, list[int]]]:
+def _split(g: Graph, shuffle: random.Random | None = None, before_prime=None) -> list[tuple[int, str, list[int]]] | None:
     # The one place the graph is split: ``(x, kind, parts)`` host masks per
-    # internal node of the tree, in pre-order (children in order), from an
-    # explicit stack.  A singleton part is a leaf and has no entry.
+    # internal node of the tree, in pre-order (children in order).  A
+    # singleton part is a leaf and has no entry.  ``before_prime`` sees each
+    # topmost prime node's mask (one with no prime ancestor), in pre-order,
+    # before any prime split: the nodes above them are split first, and each
+    # topmost prime node's subtree is spliced in after.  None when it
+    # answers false for one.
     masks = g.adjacency_masks()
+    splits = _walk(masks, (1 << g.vertex_count) - 1, None, shuffle, before_prime)
+    if splits is None or before_prime is None:
+        return splits
+    spliced = []
+    for entry in splits:
+        if type(entry) is int:  # a topmost prime node, already scanned
+            spliced += _walk(masks, entry, (PRIME, None), shuffle)
+        else:
+            spliced.append(entry)
+    return spliced
+
+
+def _walk(masks: list[int], x: int, scanned: tuple | None, shuffle: random.Random | None,
+          before_prime=None) -> list | None:
+    # ``_split``'s entries for the subtree of x, from an explicit stack;
+    # ``scanned`` is ``_scan``'s answer for x when known.  With
+    # ``before_prime``, a prime node is handed to it instead of split and
+    # listed as its bare mask; None when it answers false.
     splits = []
-    stack = [(1 << g.vertex_count) - 1]
+    stack = [x]
     while stack:
         x = stack.pop()
         if x & (x - 1):
-            kind, parts = _strong_parts(masks, x, shuffle)
+            kind, parts = scanned or _scan(masks, x)
+            scanned = None
+            if parts is None and before_prime is not None:
+                if not before_prime(x):
+                    return None
+                splits.append(x)
+                continue
+            kind, parts = _strong_parts(masks, x, shuffle, (kind, parts))
             splits.append((x, kind, parts))
             stack.extend(reversed(parts))
     return splits

@@ -17,7 +17,7 @@ from math import factorial, prod
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .decomposition import PRIME, SERIES, _charge_edges, _split
+from .decomposition import PARALLEL, PRIME, SERIES, _charge_edges, _split
 from .errors import DomainError, InvariantError
 from .forcing import _edge_classes
 from .graph import Graph
@@ -125,37 +125,31 @@ _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 class _LiftPlan:
     """The 2|E| directed edges laid out once per tree, for lifting choices.
 
-    Node by node in pre-order, each charged child block (i, j) takes a
-    forward run of slots (child i to child j) and then a reverse run.  An
-    orientation is a byte selector over ``slots``, one precomputed piece per
-    node in the same order: a series node gives, per block, the bytes that
-    select the run its permutation picks; a prime node gives one of two
-    byte strings for its whole range.  The slot order follows the tree, not
-    the (tail, head) order of the output: ``_output_tables`` sorts it for
-    ``enumerate_orientations``.  Set once in ``__init__``, never changed
-    after.
-
-    A prime node's crossing edges are one host color, which no edge outside
-    them shares (children and node are modules), so its canonical half is
-    the class of its smallest crossing edge: from the first representative to
-    the first one joined to it.  Read from ``_edge_classes`` labels."""
+    Built from ``_analyze``'s nodes in their pre-order: each arc (i, j)
+    takes a forward run of slots (child i to child j) and then a reverse
+    run.  An orientation is a byte selector over ``slots``, one precomputed
+    piece per node in the same order: a series node gives, per arc, the
+    bytes that select the run its permutation picks; a prime node gives one
+    of two byte strings for its whole range, the forward runs (its
+    canonical half) or the reverse runs.  The slot order follows the tree,
+    not the (tail, head) order of the output: ``_output_tables`` sorts it
+    for ``enumerate_orientations``.  Set once in ``__init__``, never changed
+    after."""
 
     __slots__ = ("entries", "slots")
 
-    def __init__(self, g: Graph, splits: list, classes: tuple):
-        # entries: (kind, child count, pieces) per series and prime node of
-        # ``_split``'s list, in its pre-order.  A series node keeps (i, j,
-        # run) per block, where run[False] selects the block's forward run
+    def __init__(self, nodes: list):
+        # entries: (kind, child count, pieces) per node.  A series node keeps
+        # (i, j, run) per arc, where run[False] selects the arc's forward run
         # and run[True] its reverse run; a prime node keeps its canonical
         # and its reverse selector.
-        group, root, inverse = classes
         self.entries: list[tuple] = []
         self.slots: list = []
         lay = self.slots.extend
         runs: dict[int, tuple[bytes, bytes]] = {}  # block size -> its two run selectors
-        for _, (_, kind, parts), members, blocks in _charge_edges(g, splits):
+        for kind, members, arcs in nodes:
             pieces = []
-            for i, j in blocks:
+            for i, j in arcs:
                 lay(product(members[i], members[j]))
                 lay(product(members[j], members[i]))
                 n = len(members[i]) * len(members[j])
@@ -164,14 +158,9 @@ class _LiftPlan:
                     run = runs[n] = (b"\1" * n + b"\0" * n, b"\0" * n + b"\1" * n)
                 pieces.append((i, j, run))
             if kind == PRIME:
-                reps = [(p & -p).bit_length() - 1 for p in parts]
-                label = [root[2 * group[reps[i]][reps[j]]] for i, j in blocks]
-                forward = label[0]
-                if not set(label) <= {forward, inverse[forward]}:
-                    raise InvariantError("prime quotient does not have a single color")
-                canonical = b"".join([run[c != forward] for (_, _, run), c in zip(pieces, label)])
+                canonical = b"".join([run[False] for _, _, run in pieces])
                 pieces = (canonical, canonical.translate(_FLIP))
-            self.entries.append((kind, len(parts), pieces))
+            self.entries.append((kind, len(members), pieces))
 
 
 def _series_piece(blocks: list, perm: Sequence[int]) -> bytes:
@@ -181,37 +170,107 @@ def _series_piece(blocks: list, perm: Sequence[int]) -> bytes:
     return b"".join([run[pos[i] > pos[j]] for i, j, run in blocks])
 
 
-def _analyze(g: Graph, shuffle: random.Random | None = None) -> tuple[_LiftPlan, Iterator[bytes]] | None:
+def _analyze(g: Graph, shuffle: random.Random | None = None) -> list[tuple] | None:
     """The one analysis behind the verdict, the count and the enumeration.
 
-    Reads union-find class labels, builds no ``ColorMap``: None when some
-    class is its own reverse, else the lift plan of one tree and its stream
-    of selectors, whose first is verified here on bitmasks against the
-    slots it selects (``InvariantError``).  Builds no orientation."""
-    classes = _edge_classes(g)
-    if any(c == r for c, r in classes[2].items()):  # a class that is its own reverse
+    Splits the graph once and runs the union-find only on G[x] for each
+    topmost prime node x (one with no prime ancestor), after the scans that
+    find every topmost prime node connected and co-connected and before any
+    prime split: series and parallel nodes leave no forcing choice (Gallai
+    1967), so a cograph runs none.  The classes of G on the edges inside a
+    module are the module's own, so a nested prime node reads its topmost
+    ancestor's labels.
+
+    None ("false") when a class of some G[x] is its own reverse: no graph
+    that induces G[x] is a comparability graph.  Otherwise ``(kind, members,
+    arcs)`` per series and prime node, in pre-order: each child's vertices,
+    and the charged child blocks directed, tail child first, as the first
+    orientation has them (i -> j with i < j at a series node; the class of
+    the smallest crossing edge at a prime node, whose crossing edges must
+    all lie in it or its reverse).  ``_verify`` proves that orientation
+    transitive, so "true" rests on a witness and only the count leans on
+    the tree.  Lays out no slots and builds no orientation: the enumeration
+    checks that its first selector picks these arcs, and the selectors
+    after it, like ``orientation_at``'s, are lifted unchecked."""
+    masks = g.adjacency_masks()
+    labelled: list[tuple] = []  # (x, its labels) per topmost prime node, in pre-order
+
+    def label(x: int) -> bool:
+        classes = _edge_classes(masks, x)
+        if any(c == r for c, r in classes[2].items()):  # a class that is its own reverse
+            return False
+        labelled.append((x, classes))
+        return True
+
+    splits = _split(g, shuffle, label)
+    if splits is None:
         return None
-    plan = _LiftPlan(g, _split(g, shuffle), classes)
-    del classes  # a label per directed edge, all read: free them before the witness
-    selectors = _selectors(plan)
-    first = next(selectors)
-    if not _witness(g, list(compress(plan.slots, first)), InvariantError):
+    tops = iter(labelled)
+    top = 0
+    nodes = []
+    for _, (x, kind, parts), members, blocks in _charge_edges(g, splits):
+        if kind == PRIME:
+            if not x & top:
+                top, (group, root, inverse) = next(tops)
+            reps = [(p & -p).bit_length() - 1 for p in parts]
+            labels = [root[2 * group[reps[i]][reps[j]]] for i, j in blocks]
+            forward = labels[0]
+            if not set(labels) <= {forward, inverse[forward]}:
+                raise InvariantError("prime quotient does not have a single color")
+            blocks = [(i, j) if c == forward else (j, i) for (i, j), c in zip(blocks, labels)]
+        nodes.append((kind, members, blocks))
+    _verify(masks, splits, nodes)
+    return nodes
+
+
+def _verify(masks: list[int], splits: list, nodes: list) -> None:
+    # Raise ``InvariantError`` unless child i -> child j, for each arc (i, j)
+    # of ``nodes`` (the series and prime entries of ``splits``), orients
+    # every edge exactly once, transitively.  A vertex's out- and in-masks
+    # gather the arcs of its ancestors, handed down the tree, and must be
+    # disjoint and make up its neighbourhood.  Given that cover, succ(h) lies
+    # in succ(t) for all t in child i and h in child j exactly when out(j)
+    # lies in out(i): the rest of succ(h) is in child j, inside out(i), and
+    # out(j) misses child i.  So each node's quotient must be transitive.
+    n = len(masks)
+    succ = [0] * n
+    pred = [0] * n
+    down = {(1 << n) - 1: (0, 0)}  # node -> the out- and in-masks its members inherit
+    arcs_of = iter(nodes)
+    transitive = True
+    for x, kind, parts in splits:
+        s, p = down.pop(x)
+        arcs = () if kind == PARALLEL else next(arcs_of)[2]
+        out = [s] * len(parts)
+        into = [p] * len(parts)
+        for i, j in arcs:
+            out[i] |= parts[j]
+            into[j] |= parts[i]
+        transitive = transitive and not any(out[j] & ~out[i] for i, j in arcs)
+        for c, s, p in zip(parts, out, into):
+            if c & (c - 1):
+                down[c] = (s, p)
+            else:
+                u = c.bit_length() - 1
+                succ[u], pred[u] = s, p
+    if any(s & p or s | p != m for s, p, m in zip(succ, pred, masks)):
+        raise InvariantError("orientation does not cover each edge exactly once")
+    if not transitive:
         raise InvariantError("constructed orientation failed the transitivity check")
-    return plan, chain([first], selectors)
 
 
 def count_orientations(g: Graph) -> int:
     """Exact number of transitive orientations, as an arbitrary-precision int."""
-    found = _analyze(g)
-    if found is None:
+    nodes = _analyze(g)
+    if nodes is None:
         return 0
-    return prod(_radices(found[0]))
+    return prod(_radices(nodes))
 
 
-def _radices(plan: _LiftPlan) -> list[int]:
+def _radices(nodes: list) -> list[int]:
     # The number of choices at each node: c! orders of a series node's c
     # children, the two halves of a prime node.
-    return [factorial(c) if kind == SERIES else 2 for kind, c, _ in plan.entries]
+    return [factorial(len(members)) if kind == SERIES else 2 for kind, members, _ in nodes]
 
 
 def orientation_at(g: Graph, k: int) -> Orientation:
@@ -225,14 +284,14 @@ def orientation_at(g: Graph, k: int) -> Orientation:
     graph, or ``k`` is not an int in ``0..count - 1``."""
     if not isinstance(k, int) or isinstance(k, bool):
         raise DomainError(f"rank {k!r} is not an int")
-    found = _analyze(g)
-    if found is None:
+    nodes = _analyze(g)
+    if nodes is None:
         raise DomainError("the graph is not a comparability graph")
-    plan = found[0]
-    radices = _radices(plan)
+    radices = _radices(nodes)
     count = prod(radices)
     if not 0 <= k < count:
         raise DomainError(f"rank {k} is outside 0..{count - 1}")
+    plan = _LiftPlan(nodes)
     parts = []  # one selector piece per node, the last node's first
     for (kind, c, pieces), radix in zip(reversed(plan.entries), reversed(radices)):
         k, digit = divmod(k, radix)
@@ -248,6 +307,14 @@ def orientation_at(g: Graph, k: int) -> Orientation:
         parts.append(_series_piece(pieces, perm))
     parts.reverse()
     return Orientation(frozenset(compress(plan.slots, b"".join(parts))))
+
+
+def _verified_selector(nodes: list) -> bytes:
+    # The selector of the orientation ``_verify`` proved, over the slot
+    # layout of ``_LiftPlan``: each arc's forward run and not its reverse.
+    runs: dict[int, bytes] = {}  # block size -> its forward run
+    sizes = [len(members[i]) * len(members[j]) for _, members, arcs in nodes for i, j in arcs]
+    return b"".join([runs.get(n) or runs.setdefault(n, b"\1" * n + b"\0" * n) for n in sizes])
 
 
 def _selectors(plan: _LiftPlan) -> Iterator[bytes]:
@@ -296,11 +363,15 @@ def enumerate_orientations(
     if g.edge_count == 0:  # one orientation, with no pairs to sort
         yield Orientation(frozenset())
         return
-    found = _analyze(g, shuffle)
-    if found is not None:
-        plan, selectors = found
+    nodes = _analyze(g, shuffle)
+    if nodes is not None:
+        plan = _LiftPlan(nodes)
         gather, pairs = _output_tables(g, plan.slots)
-        for sel in islice(selectors, limit):
+        stream = _selectors(plan)
+        first = next(stream)
+        if first != _verified_selector(nodes):
+            raise InvariantError("the first selector is not the verified orientation")
+        for sel in islice(chain((first,), stream), limit):
             o = Orientation(frozenset(compress(plan.slots, sel)))
             # A list: small tuples freed once per orientation linger in the
             # interpreter's free lists, which raised the peak memory of a stream.

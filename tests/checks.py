@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
+from math import factorial
 
 from transor import (
     Graph,
@@ -32,7 +33,7 @@ from transor import (
     simplex_extension_exists,
     strong_modules_of_order,
 )
-from transor.decomposition import PARALLEL, SERIES
+from transor.decomposition import LEAF, PARALLEL, PRIME, SERIES, DecompositionNode
 from transor.oracle import (
     MAX_ORACLE_EDGES,
     MAX_ORACLE_VERTICES,
@@ -78,6 +79,104 @@ def random_poset_graph(n: int, p: Fraction, seed: int) -> Graph:
             if succ[i] >> j & 1:
                 succ[i] |= succ[j]
     return Graph(range(n), [(i, j) for i, j in combinations(range(n), 2) if succ[i] >> j & 1])
+
+
+PRIME_ABOVE = 24  # in a substitution graph, every module larger than this below the root is prime
+
+
+def substitution_graph(n: int, seed: int, c5: bool = False) -> tuple[Graph, DecompositionNode, int]:
+    """A graph on 0..n-1 (n >= 2) built by substitution, with its tree and
+    orientation count known by construction.
+
+    The root is an edgeless piece (a parallel node), and each piece vertex
+    is replaced by a module grown the same way, down to single vertices.
+    Pieces are paths P_k, k = 4..6 (prime nodes), complete graphs (series
+    nodes) and edgeless graphs (parallel nodes).  Every module of more than
+    PRIME_ABOVE vertices below the root is a prime node, so primes nest
+    several levels deep; a path's odd positions take one or two vertices,
+    which keeps the graph sparse.  No series node has a series child and no
+    parallel node a parallel one, so the tree is the construction's and the
+    count is the product of k! over series nodes of k children, times 2 per
+    prime node.  With ``c5`` the last P_5 in pre-order is closed into the
+    5-cycle: the tree stays, and the graph is no comparability graph (count
+    0).  The vertex names are a seeded permutation, so no child is a run of
+    consecutive names.  splitmix64 draws make it the same everywhere.
+    """
+    draws = splitmix64(seed)
+
+    def below(m: int) -> int:
+        return next(draws) % m
+
+    names = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = below(i + 1)
+        names[i], names[j] = names[j], names[i]
+    leaves = iter(names)
+    joins = []  # (kind, child vertex lists in piece order) per internal node, pre-order
+    count = 1
+
+    def sizes(budget: int, small: list[int], k: int) -> list[int]:
+        # k positive sizes summing to budget: the given sizes at odd places
+        # when ``small`` is not empty, the rest shared by seeded weights.
+        out = [1] * k
+        for i, size in zip(range(1, k, 2), small):
+            out[i] = size
+        free = [i for i in range(k) if not (small and i % 2)]
+        rest = budget - sum(out)
+        weights = {i: 1 + below(8) for i in free}
+        total = sum(weights.values())
+        for i in free:
+            out[i] += rest * weights[i] // total
+        out[free[0]] += budget - sum(out)
+        return out
+
+    def grow(budget: int, above: str | None) -> DecompositionNode:
+        nonlocal count
+        if budget == 1:
+            return DecompositionNode(frozenset((next(leaves),)), LEAF, ())
+        if above is None:
+            kind = PARALLEL
+        elif budget > PRIME_ABOVE:
+            kind = PRIME
+        else:
+            kinds = [k for k in (PRIME, SERIES, PARALLEL) if k != above and (k != PRIME or budget >= 4)]
+            kind = kinds[below(len(kinds))]
+        if kind == PRIME:
+            k = 4 + below(min(3, budget - 3))
+            small = [1 + below(2) for _ in range(1, k, 2)]
+            if sum(small) + (k + 1) // 2 > budget:
+                small = [1] * (k // 2)
+            parts = sizes(budget, small, k)
+            count *= 2
+        else:
+            k = 2 + below(min(3, budget - 1))
+            parts = sizes(budget, [], k)
+            if kind == SERIES:
+                count *= factorial(k)
+        entry = (kind, [])
+        joins.append(entry)
+        children = [grow(size, kind) for size in parts]
+        entry[1].extend(sorted(c.vertex_set) for c in children)
+        children.sort(key=lambda c: min(c.vertex_set))
+        return DecompositionNode(frozenset().union(*(c.vertex_set for c in children)), kind, tuple(children))
+
+    tree = grow(n, None)
+    edges = []
+    p5 = [members for kind, members in joins if kind == PRIME and len(members) == 5]
+    if c5 and not p5:
+        raise ValueError(f"substitution_graph({n}, {seed}) has no P_5 to close")
+    cycle = p5[-1] if c5 else None
+    for kind, members in joins:
+        if kind == PRIME:
+            pairs = [(i, i + 1) for i in range(len(members) - 1)]
+            if members is cycle:
+                pairs.append((0, 4))
+        elif kind == SERIES:
+            pairs = list(combinations(range(len(members)), 2))
+        else:
+            pairs = []
+        edges += [(u, v) for i, j in pairs for u in members[i] for v in members[j]]
+    return Graph(range(n), edges), tree, 0 if c5 else count
 
 
 class Bundle:

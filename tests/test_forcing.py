@@ -3,7 +3,6 @@ from __future__ import annotations
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, compress
 
 import pytest
 
@@ -124,7 +123,8 @@ def test_colors_are_the_forcing_closure_past_oracle_scale():
 def test_analysis_labels_agree_with_the_color_map():
     # The verdict, count and enumeration read union-find labels, not the
     # ColorMap: the verdict must be "no self-inverse color", and a prime
-    # node's block directions the forward half of its representatives' color.
+    # node's arcs (its first orientation, tail child first) the forward half
+    # of its representatives' color.
     primes = 0
     for g in past_oracle_scale_graphs():
         cmap = color_classes(g)
@@ -132,17 +132,16 @@ def test_analysis_labels_agree_with_the_color_map():
         assert (found is None) == any(c.self_inverse for c in cmap.colors)
         if found is None:
             continue
-        plan, stream = found
-        canonical = set(compress(plan.slots, next(stream)))  # every prime node's first half
         nodes = [node for _, node in decomposition_tree(g).walk_with_paths() if node.kind in (SERIES, PRIME)]
-        for (kind, _, _), node in zip(plan.entries, nodes, strict=True):
+        for (kind, members, arcs), node in zip(found, nodes, strict=True):
+            assert kind == node.kind
+            assert [m[0] for m in members] == node.representatives
             if kind != PRIME:
                 continue
-            assert node.kind == PRIME
             primes += 1
-            for u, v in combinations(node.representatives, 2):
-                if g.has_edge(u, v):
-                    assert ((u, v) in canonical) == ((u, v) in cmap.colors[cmap.color_of(u, v)].forward)
+            for i, j in arcs:
+                u, v = members[i][0], members[j][0]
+                assert (u, v) in cmap.colors[cmap.color_of(u, v)].forward
     assert primes > 100
 
 

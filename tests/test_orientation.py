@@ -25,10 +25,10 @@ from transor import (
     orientation_at,
     strong_modules_of_order,
 )
-from transor import forcing, orientation
+from transor import decomposition, forcing, orientation
 from transor.decomposition import LEAF, PRIME, SERIES, DecompositionNode, _charge_edges, _split, _tree_splits
 from transor.errors import OracleScaleError
-from transor.oracle import acceptance_corpus, complete_graph, fixtures
+from transor.oracle import acceptance_corpus, complete_graph, fixtures, random_graph
 
 import checks
 
@@ -161,39 +161,56 @@ VERBS = (is_comparability, count_orientations, lambda g: next(enumerate_orientat
     [("reversed block", "transitivity"), ("dropped edge", "exactly once"), ("both directions", "exactly once")],
 )
 def test_faulty_first_orientation_is_an_invariant_error(fx, monkeypatch, fault, message):
-    # The witness must catch a lift plan whose first selector is wrong: on
-    # P4 (one prime node) reversing the block a-b leaves c->b->a open.  The
-    # first block's two bytes select its forward and its reverse slot.
-    selectors = orientation._selectors
+    # The witness must catch wrong block directions in the first
+    # orientation: on P4 (one prime node, whose blocks are its three edges)
+    # reversing the block a-b leaves c->b->a open, dropping it leaves an edge
+    # unoriented, and listing it both ways orients an edge twice.
+    verify = orientation._verify
 
-    def faulty(plan):
-        stream = selectors(plan)
-        first = next(stream)
-        block = {"reversed block": first[1::-1], "dropped edge": b"\0\0", "both directions": b"\1\1"}[fault]
-        yield block + first[2:]
-        yield from stream
+    def faulty(masks, splits, nodes):
+        (kind, members, arcs), *rest = nodes
+        (i, j), *others = arcs
+        arcs = {"reversed block": [(j, i)], "dropped edge": [], "both directions": [(i, j), (j, i)]}[fault] + others
+        return verify(masks, splits, [(kind, members, arcs), *rest])
 
-    monkeypatch.setattr(orientation, "_selectors", faulty)
+    monkeypatch.setattr(orientation, "_verify", faulty)
     for verb in VERBS:
         with pytest.raises(InvariantError, match=message):
             verb(fx["p4"])
 
 
+def test_a_first_selector_off_the_verified_arcs_is_an_invariant_error(fx, monkeypatch):
+    # The enumeration prints only a stream whose first selector picks the
+    # arcs that ``_verify`` proved: a lifter that starts elsewhere (here with
+    # every run flipped, the reverse orientation) is refused, not printed.
+    selectors = orientation._selectors
+    flip = bytes.maketrans(b"\0\1", b"\1\0")
+    monkeypatch.setattr(orientation, "_selectors", lambda plan: (s.translate(flip) for s in selectors(plan)))
+    for g in (fx["p4"], fx["paw"], complete_graph(4)):
+        with pytest.raises(InvariantError, match="first selector"):
+            next(enumerate_orientations(g))
+
+
 def test_a_class_reversing_into_two_classes_is_an_invariant_error(fx, monkeypatch):
     # Relabel one union-find node: its class's reverses then lie in two
-    # classes, which every verb must refuse rather than answer.
+    # classes, which every verb must refuse rather than answer.  The verbs
+    # label only inside prime nodes, so they meet it on P4; the paw is a
+    # cograph, and only its color map runs the union-find.
     original = forcing._reverse_classes
     monkeypatch.setattr(forcing, "_reverse_classes", lambda root: original([-1] + root[1:]))
-    for verb in (color_classes, *VERBS):
+    with pytest.raises(InvariantError, match="reverses into two classes"):
+        color_classes(fx["paw"])
+    for verb in VERBS:
         with pytest.raises(InvariantError, match="reverses into two classes"):
-            verb(fx["paw"])
+            verb(fx["p4"])
+    assert count_orientations(fx["paw"]) == 4
 
 
 def test_prime_blocks_in_two_colors_are_an_invariant_error(fx, monkeypatch):
     # Labels from a union-find that joined nothing: P4's three prime blocks
-    # then lie in three colors, which the lift plan must refuse.
-    def unjoined(g):
-        group, root, _ = forcing._edge_classes(g)
+    # then lie in three colors, which the analysis must refuse.
+    def unjoined(masks, x):
+        group, root, _ = forcing._edge_classes(masks, x)
         root = list(range(len(root)))
         return group, root, forcing._reverse_classes(root)
 
@@ -201,6 +218,67 @@ def test_prime_blocks_in_two_colors_are_an_invariant_error(fx, monkeypatch):
     for verb in VERBS:
         with pytest.raises(InvariantError, match="single color"):
             verb(fx["p4"])
+
+
+def _joins(depth: int) -> int:
+    # The series nodes of ``checks.balanced_cograph(depth)``: one per join.
+    return sum(2 ** (depth - level) for level in range(1, depth + 1) if (depth - level) % 2 == 0)
+
+
+def test_a_tree_with_no_prime_node_runs_no_union_find(monkeypatch):
+    # A series node's orientations are its child orders whatever the colors
+    # are, so K_n, balanced cographs and threshold graphs are answered from
+    # the tree and the witness alone.
+    def refuse(masks, x):
+        raise AssertionError("union-find ran")
+
+    monkeypatch.setattr(orientation, "_edge_classes", refuse)
+    cases = [(complete_graph(n), factorial(n)) for n in (1, 2, 5, 12)]
+    cases += [(checks.balanced_cograph(d), 2 ** _joins(d)) for d in (2, 3, 6)]
+    cases += [(checks.threshold_graph(n), 2 ** (n // 2)) for n in (2, 9, 40)]
+    for g, count in cases:
+        assert count_orientations(g) == count
+        assert is_comparability(g)
+        first = next(enumerate_orientations(g))
+        assert is_transitive(g, first)
+        assert orientation_at(g, 0) == first
+        assert orientation_at(g, count - 1).directed == {(h, t) for t, h in first.directed}
+
+
+def test_a_prime_node_says_false_before_its_prime_split(fx, monkeypatch):
+    # The labels of each topmost prime node G[x] run once the scans have found
+    # every such x connected and co-connected, so a self-inverse class there
+    # answers before any prime split, also one in a node late in pre-order.
+    def refuse(masks, x, shuffle):
+        raise AssertionError("prime split ran")
+
+    monkeypatch.setattr(decomposition, "_prime_parts", refuse)
+    late = checks.substitution_graph(500, 6, c5=True)[0]  # its C5 lies under a late topmost prime node
+    for g in (fx["c5"], random_graph(40, Fraction(1, 10), 1), late):
+        assert not is_comparability(g)
+        assert count_orientations(g) == 0
+        assert list(enumerate_orientations(g)) == []
+
+
+def test_only_the_edges_inside_prime_nodes_are_labelled(monkeypatch):
+    # The join of two P4s: a series root over two prime nodes.  Its 16
+    # crossing edges are oriented by the root's child order, unlabelled.
+    g = Graph("abcdwxyz", [("a", "b"), ("b", "c"), ("c", "d"), ("w", "x"), ("x", "y"), ("y", "z")]
+              + [(u, v) for u in "abcd" for v in "wxyz"])
+    labelled = []
+    real = orientation._edge_classes
+
+    def counted(masks, x):
+        labelled.append(sum((masks[t] & x).bit_count() for t in range(len(masks)) if x >> t & 1) // 2)
+        return real(masks, x)
+
+    monkeypatch.setattr(orientation, "_edge_classes", counted)
+    assert g.edge_count == 22
+    assert count_orientations(g) == 2 * 2 * 2
+    assert labelled == [3, 3]
+    labelled.clear()
+    assert is_comparability(g)
+    assert labelled == [3, 3]
 
 
 def test_a_graph_with_a_self_inverse_color_has_no_rank(fx):
@@ -466,8 +544,9 @@ def test_to_json_returns_fresh_lists(fx):
 
 
 def test_first_orientation_is_built_once(fx, monkeypatch):
-    # The analysis verifies the first selector without building its
-    # orientation; the stream builds it once.
+    # The analysis verifies the first orientation's arcs and the stream
+    # checks its first selector against them, neither building it; the
+    # stream builds it once.
     build = orientation.Orientation
     calls = []
 
