@@ -225,37 +225,55 @@ def _prime_parts(masks: list[int], x: int, shuffle: random.Random | None) -> lis
     return family
 
 
-def _scan(masks: list[int], x: int) -> tuple[str, list[int] | None]:
+def _scan(masks: list[int], x: int, above: str | None) -> tuple[str, list[int] | None]:
     # The node kind of x (two or more vertices) by the component scans, and
     # its components or co-components; None for the parts of a prime node,
-    # which is connected and co-connected (Gallai 1967).
-    kind, parts = PARALLEL, mask_components(masks, x)
-    if len(parts) == 1:
-        kind, parts = SERIES, mask_components(masks, x, co=True)
-    if len(parts) == 1:
-        return PRIME, None
-    return kind, parts
+    # which is connected and co-connected.  ``above`` is the kind of x's
+    # parent: by Gallai's alternation (1967) a child of a parallel node is a
+    # component, so connected, and a child of a series node a co-component,
+    # so co-connected, and the scan that would only say so is skipped.  It
+    # is PRIME for a node already scanned prime, and None when nothing is
+    # known (the root, and a prime node's children).
+    if above != PARALLEL and above != PRIME:
+        parts = mask_components(masks, x)
+        if len(parts) > 1:
+            return PARALLEL, parts
+    if above != SERIES and above != PRIME:
+        parts = mask_components(masks, x, co=True)
+        if len(parts) > 1:
+            return SERIES, parts
+    return PRIME, None
 
 
-def _strong_parts(masks: list[int], x: int, shuffle: random.Random | None,
-                  scanned: tuple | None = None) -> tuple[str, list[int]]:
-    # The maximal strong modules of the subgraph induced on x (two or more
-    # vertices), as masks by lowest vertex, checked to be modules (their own
-    # closures), pairwise disjoint and covering x; and the node kind, which is
-    # the case that split x.  ``scanned`` is ``_scan``'s answer when known.
-    kind, parts = scanned or _scan(masks, x)
-    if parts is None:
-        parts = _prime_parts(masks, x, shuffle)
-    covered = 0
+def _below(masks: list[int], x: int, kind: str, parts: list[int], want: int) -> list[tuple[int, int]]:
+    # One step of the cover walk that proves a split, top-down.  The parts
+    # must be disjoint and cover x.  ``want`` is the neighbourhood outside x
+    # that every vertex of x must have.  A part's want adds what its members
+    # see of the rest of x: all of it at a series node, none at a parallel
+    # node, what its representative (lowest bit) sees at a prime node.  Each
+    # one-vertex part's mask must equal its want: checked for all at once from
+    # what some and what every one of them sees.  Once every leaf passes, each
+    # part is a module and each node's quotient is what its kind says.
+    # Returns (part, want) for the parts of two or more vertices.
+    covered, some, every, out = 0, 0, -1, []
     for p in parts:
-        if p & covered:
-            raise InvariantError("strong parts overlap")
+        if p & covered or not p:
+            raise InvariantError("strong parts overlap" if p else "a strong part is empty")
         covered |= p
-        if p & (p - 1) and _close_seed(masks, x, p) != p:
-            raise InvariantError("strong part is not a module")
+        if not p & (p - 1):
+            m = masks[p.bit_length() - 1]
+            some |= m
+            every &= m | p
+        else:
+            sees = x if kind == SERIES else 0 if kind == PARALLEL else masks[(p & -p).bit_length() - 1]
+            out.append((p, want | (sees & (x ^ p))))
     if covered != x:
         raise InvariantError("strong parts do not cover the node")
-    return kind, parts
+    if (want | x if kind == SERIES else want) & ~every:
+        raise InvariantError("a quotient edge lifts to a non-edge")
+    if some & ~(want if kind == PARALLEL else want | x):
+        raise InvariantError("a quotient non-edge lifts to an edge")
+    return out
 
 
 def maximal_strong_partition(g: Graph, *, shuffle: random.Random | None = None) -> tuple[frozenset, ...]:
@@ -269,10 +287,15 @@ def maximal_strong_partition(g: Graph, *, shuffle: random.Random | None = None) 
     they are.  ``shuffle`` picks v and the pivot order; the result is
     order-independent and tests rely on that.
     """
-    n = g.vertex_count
-    if n < 2:
+    if g.vertex_count < 2:
         raise DomainError("partition needs at least two vertices")
-    _, parts = _strong_parts(g.adjacency_masks(), (1 << n) - 1, shuffle)
+    masks = g.adjacency_masks()
+    full = (1 << g.vertex_count) - 1
+    kind, parts = _scan(masks, full, None)
+    if parts is None:
+        parts = _prime_parts(masks, full, shuffle)
+    for p, want in _below(masks, full, kind, parts, 0):  # each part proved a module as a flat node
+        _below(masks, p, PRIME, [1 << g.index[v] for v in g.vertex_list(p)], want)
     return tuple(g.unmask(p) for p in parts)
 
 
@@ -301,46 +324,42 @@ def quotient(g: Graph, partition) -> Graph:
 
 def _split(g: Graph, shuffle: random.Random | None = None, before_prime=None) -> list[tuple[int, str, list[int]]] | None:
     # The one place the graph is split: ``(x, kind, parts)`` host masks per
-    # internal node of the tree, in pre-order (children in order).  A
-    # singleton part is a leaf and has no entry.  ``before_prime`` sees each
-    # topmost prime node's mask (one with no prime ancestor), in pre-order,
-    # before any prime split: the nodes above them are split first, and each
-    # topmost prime node's subtree is spliced in after.  None when it
-    # answers false for one.
+    # internal node of the tree, in pre-order (children in order), proved by
+    # ``_below``'s cover walk.  A singleton part is a leaf and has no entry.
+    # ``before_prime`` sees each topmost prime node's mask (one with no prime
+    # ancestor), in pre-order, before any prime split: the nodes above them
+    # are split first, and each topmost prime node's subtree is spliced in
+    # after.  None when it answers false for one.
     masks = g.adjacency_masks()
-    splits = _walk(masks, (1 << g.vertex_count) - 1, None, shuffle, before_prime)
+    full = (1 << g.vertex_count) - 1
+    splits = _walk(masks, [(full, 0, None)] if full & (full - 1) else [], shuffle, before_prime)
     if splits is None or before_prime is None:
         return splits
     spliced = []
-    for entry in splits:
-        if type(entry) is int:  # a topmost prime node, already scanned
-            spliced += _walk(masks, entry, (PRIME, None), shuffle)
-        else:
-            spliced.append(entry)
+    for entry in splits:  # a topmost prime node is (x, want), already scanned
+        spliced += [entry] if len(entry) == 3 else _walk(masks, [(*entry, PRIME)], shuffle)
     return spliced
 
 
-def _walk(masks: list[int], x: int, scanned: tuple | None, shuffle: random.Random | None,
-          before_prime=None) -> list | None:
-    # ``_split``'s entries for the subtree of x, from an explicit stack;
-    # ``scanned`` is ``_scan``'s answer for x when known.  With
-    # ``before_prime``, a prime node is handed to it instead of split and
-    # listed as its bare mask; None when it answers false.
+def _walk(masks: list[int], stack: list, shuffle: random.Random | None, before_prime=None) -> list | None:
+    # ``_split``'s entries for the subtrees on ``stack``, the top first:
+    # ``(x, want, above)`` per node of two or more vertices, with the want
+    # ``_below`` gave it and what ``_scan`` may skip.  With ``before_prime``, a
+    # prime node is handed to it instead of split and listed as
+    # ``(x, want)``; None when it answers false.
     splits = []
-    stack = [x]
     while stack:
-        x = stack.pop()
-        if x & (x - 1):
-            kind, parts = scanned or _scan(masks, x)
-            scanned = None
-            if parts is None and before_prime is not None:
+        x, want, above = stack.pop()
+        kind, parts = _scan(masks, x, above)
+        if parts is None:
+            if before_prime is not None:
                 if not before_prime(x):
                     return None
-                splits.append(x)
+                splits.append((x, want))
                 continue
-            kind, parts = _strong_parts(masks, x, shuffle, (kind, parts))
-            splits.append((x, kind, parts))
-            stack.extend(reversed(parts))
+            parts = _prime_parts(masks, x, shuffle)
+        splits.append((x, kind, parts))
+        stack += [(p, w, None if kind == PRIME else kind) for p, w in reversed(_below(masks, x, kind, parts, want))]
     return splits
 
 
@@ -366,10 +385,11 @@ def decomposition_tree(g: Graph, *, shuffle: random.Random | None = None) -> Dec
 
 
 def _tree_splits(g: Graph, tree: DecompositionNode) -> list:
-    """``_split``'s list for a given tree.
+    """``_split``'s list for a given tree, proved by the same cover walk.
 
-    Each node's mask is built bottom-up from its leaves, so a hand-built
-    tree reaches the same charge walk as a split one."""
+    Each node's mask is built bottom-up from its leaves, then ``_below``
+    checks the nodes top-down, so a hand-built tree that does not fit the
+    graph is refused as a faulty split would be."""
     index = g.index
     mask: dict = {}  # id(node) -> its vertex mask
     splits = []
@@ -379,6 +399,8 @@ def _tree_splits(g: Graph, tree: DecompositionNode) -> list:
             x = 0
             for p in parts:
                 x |= p
+            if not x & (x - 1):
+                raise InvariantError("a node of one vertex has children")
             splits.append((x, node.kind, parts))
         elif len(node.vertex_set) != 1:
             raise InvariantError("a leaf is not one vertex")
@@ -391,68 +413,35 @@ def _tree_splits(g: Graph, tree: DecompositionNode) -> list:
     if x != (1 << g.vertex_count) - 1:  # x is the root's mask
         raise InvariantError("edge endpoint missing from the tree")
     splits.reverse()
+    masks = g.adjacency_masks()
+    wants = {x: 0}
+    for x, kind, parts in splits:
+        wants.update(_below(masks, x, kind, parts, wants.pop(x)))
     return splits
 
 
-def _charge_edges(g: Graph, splits: list[tuple[int, str, list[int]]]) -> list[tuple]:
-    """Charge every edge to the one node whose children separate its ends.
-
-    ``(path, split, members, blocks)`` per series and prime node of
-    ``_split``'s list, in its pre-order; ``path`` lists child indices from
-    the root, as ``walk_with_paths`` gives them, ``members[i]`` the vertices
-    of child ``i`` in index order, and ``blocks`` the child index pairs
-    ``(i, j)``, ``i < j``, whose representatives (each child's lowest bit)
-    are adjacent: every member of child ``i`` is adjacent to every member of
-    child ``j``, as the host masks prove.  The charges must partition E, and
-    a parallel node's representatives must be pairwise non-adjacent."""
-    vs = g.vertices
-    masks = g.adjacency_masks()
-    charged = 0
-    out = []
-    paths = [()]  # the paths of the internal nodes still to come, next on top
-    for split in splits:
-        _, kind, parts = split
-        path = paths.pop()
-        paths.extend(path + (i,) for i in range(len(parts) - 1, -1, -1) if parts[i] & (parts[i] - 1))
+def _blocks(masks: list[int], kind: str, parts: list[int]) -> list[tuple[int, int]]:
+    # The child index pairs (i, j) of a series or prime node whose parts are
+    # joined: every pair i < j at a series node, and at a prime node the
+    # pairs whose representatives (each part's lowest bit) are adjacent,
+    # i's the lower.  After the cover walk every member of part i is
+    # adjacent to every member of part j exactly for these pairs.
+    if kind == SERIES:
+        blocks = list(combinations(range(len(parts)), 2))
+    else:
         reps = [(p & -p).bit_length() - 1 for p in parts]
-        rep_mask = seen = 0
-        for r in reps:
-            rep_mask |= 1 << r
-            seen |= masks[r]
-        if kind == PARALLEL:
-            if seen & rep_mask:
-                raise InvariantError("parallel node received crossing edges")
-            continue
-        members = []
-        common = []  # the vertices adjacent to every member of each child
-        for p in parts:
-            vs_p, every = [], -1
-            while p:
-                b = p & -p
-                u = b.bit_length() - 1
-                vs_p.append(vs[u])
-                every &= masks[u]
-                p ^= b
-            members.append(vs_p)
-            common.append(every)
         child_of = {r: i for i, r in enumerate(reps)}
+        rep_mask = sum(1 << r for r in reps)  # distinct bits: their sum is their union
         blocks = []
         for i, r in enumerate(reps):
-            joined = masks[r] & (rep_mask >> (r + 1) << (r + 1))  # representatives of later children
+            joined = masks[r] & (rep_mask >> (r + 1) << (r + 1))  # representatives past r
             while joined:
                 b = joined & -joined
                 joined ^= b
-                j = child_of[b.bit_length() - 1]
-                if common[i] & parts[j] != parts[j]:
-                    raise InvariantError("a quotient edge lifts to a non-edge")
-                blocks.append((i, j))
-                charged += len(members[i]) * len(members[j])
-        if not blocks:
-            raise InvariantError(f"{kind} node received no crossing edges")
-        out.append((path, split, members, blocks))
-    if charged != g.edge_count:
-        raise InvariantError("charged edges do not cover E")
-    return out
+                blocks.append((i, child_of[b.bit_length() - 1]))
+    if not blocks:
+        raise InvariantError(f"{kind} node received no crossing edges")
+    return blocks
 
 
 def is_strong_module(g: Graph, sub: Iterable) -> bool:

@@ -98,12 +98,15 @@ class Graph:
         return m
 
     def unmask(self, mask: int) -> frozenset:
+        return frozenset(self.vertex_list(mask))
+
+    def vertex_list(self, mask: int) -> list:
+        """The vertices of a mask, in index order."""
         out = []
         while mask:
-            b = mask & -mask
-            out.append(self.vertices[b.bit_length() - 1])
-            mask ^= b
-        return frozenset(out)
+            out.append(self.vertices[(mask & -mask).bit_length() - 1])
+            mask &= mask - 1
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

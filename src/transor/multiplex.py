@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import DecompositionNode, SERIES, _charge_edges, _tree_splits, is_strong_module
+from .decomposition import PARALLEL, SERIES, DecompositionNode, _blocks, _tree_splits, is_strong_module
 from .errors import DomainError
 from .forcing import ColorMap, color_classes
 from .graph import Graph
@@ -49,16 +49,21 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
     """
     if cmap is None:
         cmap = color_classes(g)
+    paths = [()]  # the paths of the internal nodes still to come, next on top
     result = []
-    for path, (x, kind, parts), members, blocks in _charge_edges(g, _tree_splits(g, tree)):
-        edges = frozenset(g.edge_key(u, v) for i, j in blocks for u in members[i] for v in members[j])
-        rank = len(parts) - 1 if kind == SERIES else 1
+    for x, kind, parts in _tree_splits(g, tree):
+        path = paths.pop()
+        paths += [path + (i,) for i in range(len(parts) - 1, -1, -1) if parts[i] & (parts[i] - 1)]
+        if kind == PARALLEL:
+            continue
+        members = [g.vertex_list(p) for p in parts]
+        edges = frozenset(g.edge_key(u, v) for i, j in _blocks(g.adjacency_masks(), kind, parts) for u in members[i] for v in members[j])
         result.append(
             Multiplex(
                 span=g.unmask(x),
                 colors=frozenset(cmap.color_of(e) for e in edges),
                 edges=edges,
-                rank=rank,
+                rank=len(parts) - 1 if kind == SERIES else 1,
                 node_path=path,
             )
         )

@@ -17,7 +17,7 @@ from math import factorial, prod
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .decomposition import PARALLEL, PRIME, SERIES, _charge_edges, _split
+from .decomposition import PARALLEL, PRIME, SERIES, _blocks, _split
 from .errors import DomainError, InvariantError
 from .forcing import _edge_classes
 from .graph import Graph
@@ -138,7 +138,7 @@ class _LiftPlan:
 
     __slots__ = ("entries", "slots")
 
-    def __init__(self, nodes: list):
+    def __init__(self, g: Graph, nodes: list):
         # entries: (kind, child count, pieces) per node.  A series node keeps
         # (i, j, run) per arc, where run[False] selects the arc's forward run
         # and run[True] its reverse run; a prime node keeps its canonical
@@ -147,15 +147,14 @@ class _LiftPlan:
         self.slots: list = []
         lay = self.slots.extend
         runs: dict[int, tuple[bytes, bytes]] = {}  # block size -> its two run selectors
-        for kind, members, arcs in nodes:
+        for kind, parts, arcs in nodes:
+            members = [g.vertex_list(p) for p in parts]
             pieces = []
             for i, j in arcs:
                 lay(product(members[i], members[j]))
                 lay(product(members[j], members[i]))
                 n = len(members[i]) * len(members[j])
-                run = runs.get(n)
-                if run is None:
-                    run = runs[n] = (b"\1" * n + b"\0" * n, b"\0" * n + b"\1" * n)
+                run = runs.get(n) or runs.setdefault(n, (b"\1" * n + b"\0" * n, b"\0" * n + b"\1" * n))
                 pieces.append((i, j, run))
             if kind == PRIME:
                 canonical = b"".join([run[False] for _, _, run in pieces])
@@ -182,14 +181,15 @@ def _analyze(g: Graph, shuffle: random.Random | None = None) -> list[tuple] | No
     ancestor's labels.
 
     None ("false") when a class of some G[x] is its own reverse: no graph
-    that induces G[x] is a comparability graph.  Otherwise ``(kind, members,
-    arcs)`` per series and prime node, in pre-order: each child's vertices,
-    and the charged child blocks directed, tail child first, as the first
+    that induces G[x] is a comparability graph.  Otherwise ``(kind, parts,
+    arcs)`` per series and prime node, in pre-order: each child's vertex
+    mask, and the joined child blocks (``_blocks``, read off the
+    representatives alone) directed, tail child first, as the first
     orientation has them (i -> j with i < j at a series node; the class of
-    the smallest crossing edge at a prime node, whose crossing edges must
-    all lie in it or its reverse).  ``_verify`` proves that orientation
-    transitive, so "true" rests on a witness and only the count leans on
-    the tree.  Lays out no slots and builds no orientation: the enumeration
+    the first block, its smallest crossing edge, at a prime node, whose
+    blocks must all lie in it or its reverse).  ``_verify`` proves that
+    orientation transitive, so "true" rests on a witness and only the count
+    leans on the tree.  Lays out no slots and builds no orientation: the enumeration
     checks that its first selector picks these arcs, and the selectors
     after it, like ``orientation_at``'s, are lifted unchecked."""
     masks = g.adjacency_masks()
@@ -208,7 +208,10 @@ def _analyze(g: Graph, shuffle: random.Random | None = None) -> list[tuple] | No
     tops = iter(labelled)
     top = 0
     nodes = []
-    for _, (x, kind, parts), members, blocks in _charge_edges(g, splits):
+    for x, kind, parts in splits:
+        if kind == PARALLEL:
+            continue
+        blocks = _blocks(masks, kind, parts)
         if kind == PRIME:
             if not x & top:
                 top, (group, root, inverse) = next(tops)
@@ -218,7 +221,7 @@ def _analyze(g: Graph, shuffle: random.Random | None = None) -> list[tuple] | No
             if not set(labels) <= {forward, inverse[forward]}:
                 raise InvariantError("prime quotient does not have a single color")
             blocks = [(i, j) if c == forward else (j, i) for (i, j), c in zip(blocks, labels)]
-        nodes.append((kind, members, blocks))
+        nodes.append((kind, parts, blocks))
     _verify(masks, splits, nodes)
     return nodes
 
@@ -270,7 +273,7 @@ def count_orientations(g: Graph) -> int:
 def _radices(nodes: list) -> list[int]:
     # The number of choices at each node: c! orders of a series node's c
     # children, the two halves of a prime node.
-    return [factorial(len(members)) if kind == SERIES else 2 for kind, members, _ in nodes]
+    return [factorial(len(parts)) if kind == SERIES else 2 for kind, parts, _ in nodes]
 
 
 def orientation_at(g: Graph, k: int) -> Orientation:
@@ -291,7 +294,7 @@ def orientation_at(g: Graph, k: int) -> Orientation:
     count = prod(radices)
     if not 0 <= k < count:
         raise DomainError(f"rank {k} is outside 0..{count - 1}")
-    plan = _LiftPlan(nodes)
+    plan = _LiftPlan(g, nodes)
     parts = []  # one selector piece per node, the last node's first
     for (kind, c, pieces), radix in zip(reversed(plan.entries), reversed(radices)):
         k, digit = divmod(k, radix)
@@ -313,7 +316,7 @@ def _verified_selector(nodes: list) -> bytes:
     # The selector of the orientation ``_verify`` proved, over the slot
     # layout of ``_LiftPlan``: each arc's forward run and not its reverse.
     runs: dict[int, bytes] = {}  # block size -> its forward run
-    sizes = [len(members[i]) * len(members[j]) for _, members, arcs in nodes for i, j in arcs]
+    sizes = [parts[i].bit_count() * parts[j].bit_count() for _, parts, arcs in nodes for i, j in arcs]
     return b"".join([runs.get(n) or runs.setdefault(n, b"\1" * n + b"\0" * n) for n in sizes])
 
 
@@ -365,7 +368,7 @@ def enumerate_orientations(
         return
     nodes = _analyze(g, shuffle)
     if nodes is not None:
-        plan = _LiftPlan(nodes)
+        plan = _LiftPlan(g, nodes)
         gather, pairs = _output_tables(g, plan.slots)
         stream = _selectors(plan)
         first = next(stream)

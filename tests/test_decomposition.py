@@ -10,16 +10,21 @@ import pytest
 from transor import (
     DomainError,
     Graph,
+    InvariantError,
     count_orientations,
     decomposition_tree,
+    enumerate_orientations,
     induced_subgraph,
+    is_comparability,
     is_module,
     is_strong_module,
     maximal_strong_partition,
+    multiplex_partition,
     quotient,
     smallest_module,
 )
-from transor.decomposition import LEAF, PARALLEL, PRIME, SERIES
+from transor import decomposition
+from transor.decomposition import LEAF, PARALLEL, PRIME, SERIES, DecompositionNode
 from transor.oracle import closure_strong_partition, fixtures, random_graph
 
 import checks
@@ -203,3 +208,132 @@ def test_long_path_is_one_prime_node_built_fast():
     assert all(c.kind == LEAF for c in tree.children)
     assert elapsed < 5.0
     assert count_orientations(g) == 2
+
+
+# Every verb that splits the graph: the split is proved on each path.
+SPLITTING = (
+    decomposition_tree,
+    maximal_strong_partition,
+    is_comparability,
+    count_orientations,
+    lambda g: next(enumerate_orientations(g)),
+    lambda g: multiplex_partition(g, decomposition_tree(g)),
+)
+
+
+def _corrupt_scans(monkeypatch, fault):
+    # Let the component scans return ``fault(parts)`` instead of a split.
+    real = decomposition.mask_components
+
+    def scans(masks, x, co=False):
+        parts = real(masks, x, co)
+        return fault(parts) if len(parts) > 1 else parts
+
+    monkeypatch.setattr(decomposition, "mask_components", scans)
+
+
+def _shrink(parts):
+    # The largest part loses its lowest vertex.
+    i = max(range(len(parts)), key=lambda i: parts[i].bit_count())
+    return parts[:i] + [parts[i] & (parts[i] - 1)] + parts[i + 1:]
+
+
+def _swap(parts):
+    # The lowest vertices of the first and the last part trade places.
+    a, b = parts[0] & -parts[0], parts[-1] & -parts[-1]
+    return [parts[0] ^ a | b] + parts[1:-1] + [parts[-1] ^ b | a]
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda parts: parts + parts[:1], "strong parts overlap"),
+        (_shrink, "strong parts do not cover the node"),
+        (_swap, "a quotient edge lifts to a non-edge"),
+    ],
+)
+def test_a_faulty_series_or_parallel_split_is_an_invariant_error(fx, monkeypatch, fault, message):
+    # A scan whose parts overlap, miss a vertex, or trade vertices (so that
+    # they are no modules) is refused by the cover walk on every path.  The
+    # threshold graph's root is a series node over 0..10 and the dominating
+    # vertex 11, and vertex 0 misses the other even vertices; the paw's root
+    # is a series node over a and {b, c, d}.
+    _corrupt_scans(monkeypatch, fault)
+    for verb in SPLITTING:
+        for g in (checks.threshold_graph(12), fx["paw"]):
+            with pytest.raises(InvariantError, match=message):
+                verb(g)
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        (("ab", "c", "d"), "a quotient non-edge lifts to an edge"),  # c sees b but not a
+        (("a", "bc", "d"), "a quotient edge lifts to a non-edge"),  # a sees b but not c
+        (("ab", "bcd"), "strong parts overlap"),
+        (("a", "b"), "strong parts do not cover the node"),
+        (("a", "b", "c", "d", ""), "a strong part is empty"),
+    ],
+)
+def test_faulty_prime_parts_are_an_invariant_error(fx, monkeypatch, parts, message):
+    # P4 a-b-c-d is one prime node; its split is replaced by the parts given.
+    p4 = fx["p4"]
+    masks = [p4.mask_of(p) for p in parts]
+    monkeypatch.setattr(decomposition, "_prime_parts", lambda *args: masks)
+    for verb in SPLITTING:
+        with pytest.raises(InvariantError, match=message):
+            verb(p4)
+
+
+def test_a_pivot_module_that_closes_to_the_node_is_an_invariant_error(fx, monkeypatch):
+    # With a closure that never reaches the whole node, every part merges
+    # with the pivot's, which leaves P4 no proper strong module to split by.
+    monkeypatch.setattr(decomposition, "_close_seed", lambda masks, full, x, stop=0: x)
+    for verb in SPLITTING:
+        with pytest.raises(InvariantError, match="the strong module holding the pivot is the whole node"):
+            verb(fx["p4"])
+
+
+def _leaf(v) -> DecompositionNode:
+    return DecompositionNode(frozenset((v,)), LEAF, ())
+
+
+def _node(kind: str, *children: DecompositionNode) -> DecompositionNode:
+    return DecompositionNode(frozenset().union(*(c.vertex_set for c in children)), kind, children)
+
+
+def test_hand_built_trees_that_do_not_fit_the_graph_are_refused():
+    # ``multiplex_partition`` takes any tree; the cover walk that proves a
+    # split refuses the ones whose nodes are no modules of the kind they say.
+    p3 = Graph("abc", [("a", "b"), ("b", "c")])
+    a, b, c, d = map(_leaf, "abcd")
+    cases = [
+        (p3, _node(PARALLEL, a, _node(SERIES, b, c)), "a quotient non-edge lifts to an edge"),  # a-b crosses
+        (p3, _node(SERIES, a, _node(SERIES, b, c)), "a quotient edge lifts to a non-edge"),  # a-c missing
+        (fixtures()["p4"], _node(PRIME, a, _node(SERIES, b, c), d), "a quotient edge lifts to a non-edge"),  # a-c missing
+        (p3, _node(SERIES, _node(SERIES, a, b), a, c), "strong parts overlap"),
+        (Graph("ab"), _node(PRIME, a, b), "prime node received no crossing edges"),
+        (Graph("ab", [("a", "b")]), _node(SERIES, _node(SERIES, a, b)), "series node received no crossing edges"),
+        (p3, _node(SERIES, b, _node(PARALLEL, _node(SERIES, a), c)), "a node of one vertex has children"),
+    ]
+    for g, tree, message in cases:
+        with pytest.raises(InvariantError, match=message):
+            multiplex_partition(g, tree)
+    assert [m.rank for m in multiplex_partition(p3, _node(SERIES, b, _node(PARALLEL, a, c)))] == [1]
+
+
+@pytest.mark.parametrize("g", [checks.threshold_graph(200), checks.balanced_cograph(6)], ids=["threshold-200", "cograph-64"])
+def test_one_scan_per_node_and_no_module_closure(g, monkeypatch):
+    # Gallai's alternation: a child of a parallel node is connected and a
+    # child of a series node co-connected, so each node below the root runs
+    # one component scan, and the cover walk proves the parts modules
+    # without closing any of them.
+    internal = sum(1 for node in decomposition_tree(g).walk() if node.children)
+    real = decomposition.mask_components
+    scans = []
+    monkeypatch.setattr(decomposition, "mask_components", lambda *args, **kw: scans.append(1) or real(*args, **kw))
+    monkeypatch.setattr(decomposition, "_close_seed", None)  # any call fails
+    for verb in (count_orientations, decomposition_tree):
+        scans.clear()
+        verb(g)
+        assert 0 < len(scans) <= internal + 1, verb

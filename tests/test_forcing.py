@@ -133,14 +133,15 @@ def test_analysis_labels_agree_with_the_color_map():
         if found is None:
             continue
         nodes = [node for _, node in decomposition_tree(g).walk_with_paths() if node.kind in (SERIES, PRIME)]
-        for (kind, members, arcs), node in zip(found, nodes, strict=True):
+        for (kind, parts, arcs), node in zip(found, nodes, strict=True):
             assert kind == node.kind
-            assert [m[0] for m in members] == node.representatives
+            reps = [g.vertices[(p & -p).bit_length() - 1] for p in parts]  # each child's lowest vertex
+            assert reps == node.representatives
             if kind != PRIME:
                 continue
             primes += 1
             for i, j in arcs:
-                u, v = members[i][0], members[j][0]
+                u, v = reps[i], reps[j]
                 assert (u, v) in cmap.colors[cmap.color_of(u, v)].forward
     assert primes > 100
 

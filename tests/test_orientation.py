@@ -26,7 +26,7 @@ from transor import (
     strong_modules_of_order,
 )
 from transor import decomposition, forcing, orientation
-from transor.decomposition import LEAF, PRIME, SERIES, DecompositionNode, _charge_edges, _split, _tree_splits
+from transor.decomposition import LEAF, PRIME, SERIES, DecompositionNode, _split, _tree_splits
 from transor.errors import OracleScaleError
 from transor.oracle import acceptance_corpus, complete_graph, fixtures, random_graph
 
@@ -168,10 +168,10 @@ def test_faulty_first_orientation_is_an_invariant_error(fx, monkeypatch, fault, 
     verify = orientation._verify
 
     def faulty(masks, splits, nodes):
-        (kind, members, arcs), *rest = nodes
+        (kind, parts, arcs), *rest = nodes
         (i, j), *others = arcs
         arcs = {"reversed block": [(j, i)], "dropped edge": [], "both directions": [(i, j), (j, i)]}[fault] + others
-        return verify(masks, splits, [(kind, members, arcs), *rest])
+        return verify(masks, splits, [(kind, parts, arcs), *rest])
 
     monkeypatch.setattr(orientation, "_verify", faulty)
     for verb in VERBS:
@@ -596,7 +596,7 @@ def test_a_series_child_that_is_not_a_module_is_an_invariant_error():
     bc = DecompositionNode(frozenset("bc"), SERIES, (leaf("b"), leaf("c")))
     tree = DecompositionNode(frozenset("abc"), SERIES, (leaf("a"), bc))
     with pytest.raises(InvariantError, match="a quotient edge lifts to a non-edge"):
-        _charge_edges(p3, _tree_splits(p3, tree))
+        _tree_splits(p3, tree)
     with pytest.raises(InvariantError, match="a quotient edge lifts to a non-edge"):
         multiplex_partition(p3, tree)
 
@@ -617,7 +617,7 @@ def test_the_tree_adaptor_gives_the_split_list():
             splits = _tree_splits(g, decomposition_tree(g))
             assert splits == _split(g)
             paths = [path for path, node in decomposition_tree(g).walk_with_paths() if node.kind in ("series", "prime")]
-            assert [path for path, *_ in _charge_edges(g, splits)] == paths
+            assert [m.node_path for m in multiplex_partition(g, decomposition_tree(g))] == paths
 
 
 def test_check_count_and_enumerate_build_no_tree_nodes(fx, monkeypatch):

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import prod
 
 import pytest
 
-from transor import count_orientations, decomposition_tree, enumerate_orientations, is_comparability, orientation_at
+from transor import Graph, count_orientations, decomposition_tree, enumerate_orientations, is_comparability, orientation_at
 from transor import orientation
-from transor.decomposition import PRIME
+from transor.decomposition import PRIME, SERIES
 
 import checks
 
@@ -69,3 +70,51 @@ def test_the_c5_variant_of_a_substitution_graph_is_no_comparability_graph(n, see
     assert not is_comparability(g)
     assert count_orientations(g) == 0
     assert list(enumerate_orientations(g)) == []
+
+
+def _relabel(pieces, join: bool, seed: int):
+    # The disjoint union of the pieces (with ``join``, every vertex of one
+    # piece also adjacent to every vertex of the others), its vertex names a
+    # seeded permutation so that no piece is a run of consecutive names.
+    offsets, n = [], 0
+    for g in pieces:
+        offsets.append(n)
+        n += g.vertex_count
+    names = list(range(n))
+    random.Random(seed).shuffle(names)
+    edges = []
+    for g, base in zip(pieces, offsets):
+        index = g.index
+        edges += [(names[base + index[u]], names[base + index[v]]) for u, v in g.sorted_edges()]
+    if join:
+        bounds = offsets + [n]
+        edges += [(names[i], names[j]) for k in range(len(pieces)) for i in range(bounds[k], bounds[k + 1]) for j in range(bounds[k + 1], n)]
+    return Graph(names, edges)
+
+
+METAMORPHIC = [
+    ("poset-150 + threshold-201", lambda: checks.random_poset_graph(150, Fraction(1, 12), 4), lambda: checks.threshold_graph(201)),
+    ("substitution-300 + poset-200", lambda: checks.substitution_graph(300, 5)[0], lambda: checks.random_poset_graph(200, Fraction(1, 30), 6)),
+    ("threshold-151 + substitution-250", lambda: checks.threshold_graph(151), lambda: checks.substitution_graph(250, 7)[0]),
+    ("substitution-200 c5 + threshold-101", lambda: checks.substitution_graph(200, 2, c5=True)[0], lambda: checks.threshold_graph(101)),
+]
+
+
+@pytest.mark.parametrize("name, make_g, make_h", METAMORPHIC, ids=[case[0] for case in METAMORPHIC])
+def test_counts_multiply_over_disjoint_unions_and_joins(name, make_g, make_h):
+    # count(G + H) = count(G) count(H); and when neither piece is a join,
+    # G join H has a series root over two children, so its count is
+    # 2 count(G) count(H).  Checked under shuffled names and scan orders.
+    g, h = make_g(), make_h()
+    assert decomposition_tree(g).kind != SERIES and decomposition_tree(h).kind != SERIES
+    assert g.vertex_count + h.vertex_count >= 300
+    product = count_orientations(g) * count_orientations(h)
+    for seed in range(2):
+        union, join = _relabel([g, h], False, seed), _relabel([g, h], True, seed)
+        assert join.edge_count == union.edge_count + g.vertex_count * h.vertex_count
+        assert count_orientations(union) == product
+        assert count_orientations(join) == 2 * product
+        assert is_comparability(join) == (product > 0)
+        if product:
+            shuffled = orientation._analyze(join, random.Random(seed))
+            assert prod(orientation._radices(shuffled)) == 2 * product
