@@ -11,30 +11,40 @@ orientation has a mixed-radix rank whose digits are its choices.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from itertools import chain, compress, islice, permutations, product
+from dataclasses import dataclass
+from itertools import chain, compress, islice, permutations, repeat
 from math import factorial, prod
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .decomposition import PARALLEL, PRIME, SERIES, _blocks, _split
 from .errors import DomainError, InvariantError
-from .forcing import _edge_classes
+from .forcing import _bits, _edge_classes
 from .graph import Graph
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, unsafe_hash=True)
 class Orientation:
     """A full assignment of one direction per edge of a host graph.
 
-    ``json_pairs`` lists the ``to_json`` output as (tail, head) string
-    tuples, already in sorted order; only ``enumerate_orientations`` sets
-    it, from its output tables, so it always agrees with ``directed``.  It
-    is no constructor argument and takes no part in equality, hashing or
-    ``repr``, which read ``directed`` only."""
+    ``Orientation(directed)`` is the one constructor.  A streamed orientation
+    holds its selector and the stream's shared tables, which ``to_json`` reads;
+    ``directed`` is decoded from them on its first read and then kept."""
 
-    directed: frozenset
-    json_pairs: list | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("_directed", "_tables", "_sel")
+    directed: frozenset  # the one field, which eq, hash and repr read: the property below
+
+    def __init__(self, directed: frozenset):
+        self._directed, self._tables = directed, None
+
+    @property
+    def directed(self) -> frozenset:
+        if self._directed is None:
+            self._directed = _decode(*self._tables[:2], self._sel)
+        return self._directed
+
+    def __reduce__(self) -> tuple:
+        return Orientation, (self.directed,)
 
     def direction_of(self, u, v) -> tuple:
         if (u, v) in self.directed:
@@ -49,11 +59,12 @@ class Orientation:
     def to_json(self) -> list[list[str]]:
         """Fresh ``[tail, head]`` string lists in (tail, head) vertex order.
 
-        Copied from ``json_pairs`` when the orientation carries them (the
+        Gathered from the selector when the orientation holds one (the
         enumeration stream); otherwise ``directed`` is sorted here."""
-        if self.json_pairs is not None:
-            return list(map(list, self.json_pairs))
-        return [[str(t), str(h)] for t, h in self.sorted_pairs()]
+        if self._tables is None:
+            return [[str(t), str(h)] for t, h in self.sorted_pairs()]
+        _, _, gather, pairs = self._tables
+        return [[t, h] for t, h in compress(pairs, gather(self._sel))]
 
     @classmethod
     def from_pairs(cls, g: Graph, pairs: Iterable) -> "Orientation":
@@ -127,14 +138,13 @@ class _LiftPlan:
 
     Built from ``_analyze``'s nodes in their pre-order: each arc (i, j)
     takes a forward run of slots (child i to child j) and then a reverse
-    run.  An orientation is a byte selector over ``slots``, one precomputed
-    piece per node in the same order: a series node gives, per arc, the
-    bytes that select the run its permutation picks; a prime node gives one
-    of two byte strings for its whole range, the forward runs (its
-    canonical half) or the reverse runs.  The slot order follows the tree,
-    not the (tail, head) order of the output: ``_output_tables`` sorts it
-    for ``enumerate_orientations``.  Set once in ``__init__``, never changed
-    after."""
+    run; a slot is the code ``t * n + h`` of an edge between vertex indices.
+    An orientation is a byte selector over ``slots``, one piece per node in
+    the same order: a series node gives, per arc, the bytes that select the
+    run its permutation picks; a prime node gives one of two byte strings
+    for its whole range, the forward runs (its canonical half) or the
+    reverse runs.  The slot order follows the tree, not the sorted order of
+    the output, which ``_output_tables`` gives.  Set once, never changed."""
 
     __slots__ = ("entries", "slots")
 
@@ -144,17 +154,17 @@ class _LiftPlan:
         # and run[True] its reverse run; a prime node keeps its canonical
         # and its reverse selector.
         self.entries: list[tuple] = []
-        self.slots: list = []
-        lay = self.slots.extend
+        self.slots: list[int] = []
+        lay, n = self.slots.extend, g.vertex_count
         runs: dict[int, tuple[bytes, bytes]] = {}  # block size -> its two run selectors
         for kind, parts, arcs in nodes:
-            members = [g.vertex_list(p) for p in parts]
+            members = [list(_bits(p)) for p in parts]
             pieces = []
             for i, j in arcs:
-                lay(product(members[i], members[j]))
-                lay(product(members[j], members[i]))
-                n = len(members[i]) * len(members[j])
-                run = runs.get(n) or runs.setdefault(n, (b"\1" * n + b"\0" * n, b"\0" * n + b"\1" * n))
+                lay([t * n + h for t in members[i] for h in members[j]])
+                lay([h * n + t for h in members[j] for t in members[i]])
+                size = len(members[i]) * len(members[j])
+                run = runs.get(size) or runs.setdefault(size, (b"\1" * size + b"\0" * size, b"\0" * size + b"\1" * size))
                 pieces.append((i, j, run))
             if kind == PRIME:
                 canonical = b"".join([run[False] for _, _, run in pieces])
@@ -309,7 +319,11 @@ def orientation_at(g: Graph, k: int) -> Orientation:
             perm.append(pool.pop(place))
         parts.append(_series_piece(pieces, perm))
     parts.reverse()
-    return Orientation(frozenset(compress(plan.slots, b"".join(parts))))
+    return Orientation(_decode(g.vertices, plan.slots, b"".join(parts)))
+
+
+def _decode(vertices: tuple, slots: list[int], sel: bytes) -> frozenset:
+    return frozenset([(vertices[t], vertices[h]) for t, h in map(divmod, compress(slots, sel), repeat(len(vertices)))])
 
 
 def _verified_selector(nodes: list) -> bytes:
@@ -357,39 +371,35 @@ def enumerate_orientations(
     lexicographic order of child representatives and prime nodes emit the
     canonical half before its reverse; the k-th is ``orientation_at(g, k)``.
     A non-comparability graph yields an empty stream.  The cartesian product is generated lazily, so a ``limit``
-    makes even astronomically large spaces cheap.  Each orientation carries
-    its ``to_json`` pairs, gathered from the slot layout by output tables
-    built once after the analysis, so no orientation is sorted.
+    makes even astronomically large spaces cheap.  Each orientation is its
+    selector over output tables built once after the analysis, and none is
+    sorted.  ``DomainError`` unless ``limit`` is None or an int.
     """
+    if not (limit is None or isinstance(limit, int) and not isinstance(limit, bool)):
+        raise DomainError(f"limit {limit!r} is not an int")
     if limit is not None and limit <= 0:
         return
-    if g.edge_count == 0:  # one orientation, with no pairs to sort
+    if g.edge_count == 0:  # one orientation; the output tables need two slots or more
         yield Orientation(frozenset())
         return
     nodes = _analyze(g, shuffle)
     if nodes is not None:
         plan = _LiftPlan(g, nodes)
-        gather, pairs = _output_tables(g, plan.slots)
+        tables = _output_tables(g, plan.slots)
         stream = _selectors(plan)
         first = next(stream)
         if first != _verified_selector(nodes):
             raise InvariantError("the first selector is not the verified orientation")
         for sel in islice(chain((first,), stream), limit):
-            o = Orientation(frozenset(compress(plan.slots, sel)))
-            # A list: small tuples freed once per orientation linger in the
-            # interpreter's free lists, which raised the peak memory of a stream.
-            object.__setattr__(o, "json_pairs", list(compress(pairs, gather(sel))))
+            o = Orientation(None)  # ``directed`` is decoded from ``sel`` when read
+            o._tables, o._sel = tables, sel
             yield o
 
 
-def _output_tables(g: Graph, slots: list) -> tuple:
-    # The gather that puts the slots in (tail, head) vertex-index order,
-    # which is the sorted token order, and each gathered slot's string pair,
-    # built from one ``str`` per vertex.  Needs two slots or more.
-    index = g.index
-    n = len(index)
-    keys = [index[t] * n + index[h] for t, h in slots]
-    gather = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
-    name = {v: str(v) for v in g.vertices}
-    return gather, [(name[t], name[h]) for t, h in gather(slots)]
+def _output_tables(g: Graph, slots: list[int]) -> tuple:
+    # A stream's shared tables: the vertices and slot codes ``_decode`` reads,
+    # the gather into sorted (tail, head) order, and its string pairs.
+    gather = itemgetter(*sorted(range(len(slots)), key=slots.__getitem__))
+    name = [str(v) for v in g.vertices]
+    return g.vertices, slots, gather, [(name[t], name[h]) for t, h in map(divmod, gather(slots), repeat(len(name)))]
 

@@ -340,8 +340,9 @@ def test_byte_identical_across_processes_and_hash_seeds(write):
 
 
 def test_enumerate_bytes_do_not_follow_the_slot_layout(write):
-    # The lift plan lays its slots out in frozenset iteration order, which
-    # string hashing changes; the printed pairs must not change with it.
+    # The lift plan lays its slots out in tree order, not in the sorted
+    # order of the output, and a process's string hashing must not reach the
+    # printed pairs: the bytes agree under two hash seeds.
     # A 64-vertex cograph with string names: 1344 edges, composite children.
     g = balanced_cograph(6)
     path = write("cograph64.edges", "".join(f"v{u} v{w}\n" for u, w in g.sorted_edges()))

@@ -8,7 +8,7 @@ from math import prod
 import pytest
 
 from transor import Graph, count_orientations, decomposition_tree, enumerate_orientations, is_comparability, orientation_at
-from transor import orientation
+from transor import cli, orientation
 from transor.decomposition import PRIME, SERIES
 
 import checks
@@ -60,6 +60,16 @@ def test_a_substitution_graph_matches_its_construction(n, seed, monkeypatch):
     for s in range(3):
         assert prod(orientation._radices(orientation._analyze(g, random.Random(s)))) == count
         assert list(enumerate_orientations(g, 3, shuffle=random.Random(s))) == first
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_decompose_prints_the_construction_s_tree(n, seed):
+    # The JSON ``transor decompose`` prints, byte for byte: the stack
+    # renderer on the computed tree, on the construction's tree, and
+    # json.dumps on the construction's ``to_json_dict``.
+    g, tree, _ = checks.substitution_graph(n, seed)
+    printed = cli._tree_to_json(decomposition_tree(g))
+    assert printed == cli._tree_to_json(tree) == cli._dump(tree.to_json_dict())
 
 
 @pytest.mark.parametrize("n, seed", CASES)
