@@ -6,16 +6,20 @@ reflexive/transitive closure of that relation partitions the 2|E| directed
 edges into implication classes; a class A paired with its reverse A' gives an
 undirected color class.  A graph is transitively orientable exactly when no
 class meets its own reverse.  The out-edges of t split into classes along the
-co-components of N(t), the in-edges of h along those of N(h), so a union-find
-over those groups finds the classes (``oracle.implication_classes`` walks the
-relation itself, as the reference).
+co-components of N(t), the in-edges of h along those of N(h), so 2-colouring
+Gallai's knotting graph on those groups finds the classes
+(``oracle.implication_classes`` walks the relation itself, as the
+reference).  By Gallai (1967) a color is either one joined child block of a
+series node or lies inside a prime node, so only the topmost prime nodes of
+the decomposition tree are labelled.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterator
 
+from .decomposition import SERIES, _walk
 from .errors import DomainError, InvariantError
 from .graph import Graph, spanned_vertices
 
@@ -67,9 +71,17 @@ class ColorMap:
     edge_to_color: dict = field(repr=False)
 
     def color_of(self, u, v=None) -> int:
+        """The id of the color of edge uv, given as two vertices or one pair.
+
+        ``DomainError`` unless uv is an edge of the graph."""
         if v is None:
             u, v = u
-        return self.edge_to_color[self.graph.edge_key(u, v)]
+        cid = self.edge_to_color.get((u, v))
+        if cid is None:
+            cid = self.edge_to_color.get((v, u))
+        if cid is None:
+            raise DomainError(f"({u!r}, {v!r}) is not an edge of the graph")
+        return cid
 
 
 def directly_forces(e1: tuple, e2: tuple, g: Graph) -> bool:
@@ -90,19 +102,25 @@ def directly_forces(e1: tuple, e2: tuple, g: Graph) -> bool:
 
 def _edge_classes(masks: list[int], x: int) -> tuple[dict, list[int], dict]:
     """The implication classes of the subgraph induced on the vertex mask x,
-    as union-find labels by host vertex index.
+    as labels by host vertex index.
 
     (t,h) and (t,h') share a class exactly when h, h' share a co-component of
-    N(t); (t,h) and (t',h) exactly when t, t' share one of N(h).  With
-    ``group[t][h] = k`` when h lies in co-component k of N(t), union-find node
-    2k holds t's out-edges into it and 2k + 1 their reverses; each edge joins
-    its tail's out-node to its head's in-node.  (t,h) lies in class
-    ``root[2 * group[t][h]]``; ``inverse`` maps a class to its reverses'.
-    ``group`` has a key per vertex of x, in index order.  One mask BFS per
-    vertex and O(|E|) steps.
+    N(t); (t,h) and (t',h) exactly when t, t' share one of N(h).  Gallai's
+    knotting graph has a node k per vertex t and co-component of N(t), with
+    ``group[t][h] = k`` for each h in it, and an edge per edge th, joining
+    ``group[t][h]`` to ``group[h][t]``: (t,h) leaves the first and enters
+    the second.  So the out-edges of one side of a component and the
+    in-edges of the other side make up one class, and the rest its reverse;
+    a component that is not bipartite is one class, its own reverse.  One
+    stack BFS 2-colours each component: (t,h) lies in class
+    ``root[2 * group[t][h]]``, ``root[2k + 1]`` is the class of node k's
+    in-edges, and ``inverse`` maps a class to its reverses'.  ``group`` has
+    a key per vertex of x, in index order.  One mask BFS per vertex and
+    O(|E|) BFS steps.
     """
     group: dict = {}
-    k = 0
+    owner: list[int] = []  # node -> its vertex
+    held: list = []  # node -> the vertices of its co-component
     # A range walks the whole mask (``color_classes``, a prime root): against
     # ``_bits`` it takes 2-10 µs off labellings of 40-280 µs on 24-40 vertex
     # prime graphs, and the benchmark's ``prime-scale`` ``multiplexes_s``
@@ -111,7 +129,9 @@ def _edge_classes(masks: list[int], x: int) -> tuple[dict, list[int], dict]:
     for t in range(len(masks)) if x == (1 << len(masks)) - 1 else _bits(x):
         m = masks[t] & x  # the neighbours in x not yet reached
         of: dict = {}
+        first = len(owner)
         while m:  # one co-component per round, from its lowest vertex
+            k = len(owner)
             frontier = m & -m
             m ^= frontier
             while frontier:
@@ -121,21 +141,41 @@ def _edge_classes(masks: list[int], x: int) -> tuple[dict, list[int], dict]:
                 new = m & ~masks[h]
                 m ^= new
                 frontier ^= b | new
-            k += 1
+            owner.append(t)
+        if len(owner) == first + 1:
+            held.append(of)  # its keys are the one co-component
+        else:
+            lists: list[list[int]] = [[] for _ in range(first, len(owner))]
+            for h, k in of.items():
+                lists[k - first].append(h)
+            held += lists
         group[t] = of
-    parent = list(range(2 * k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for t, of in group.items():
-        for h, kt in of.items():
-            parent[find(2 * kt)] = find(2 * group[h][t] + 1)
-    root = parent
-    while (hop := [root[x] for x in root]) != root:  # pointer jumping to the roots
-        root = hop
+    # root[2k] is the class of node k's out-edges, 2s or 2s + 1 for the first
+    # node s of its component, and root[2k + 1] that of its in-edges: the
+    # other one.  An edge that leaves node k enters a node whose in-edges
+    # are in root[2k], so whose out-edges are in root[2k + 1].
+    root = [-1] * (2 * len(owner))
+    odd = set()  # the components, by first node, that are not bipartite
+    for s in range(len(owner)):
+        if root[2 * s] >= 0:
+            continue
+        root[2 * s], root[2 * s + 1] = 2 * s, 2 * s + 1
+        stack = [s]
+        while stack:
+            k = stack.pop()
+            t, across = owner[k], root[2 * k + 1]
+            for h in held[k]:
+                j = group[h][t]  # the node (t,h) enters
+                if root[2 * j] != across:
+                    if root[2 * j] >= 0:
+                        odd.add(s)
+                    else:
+                        root[2 * j], root[2 * j + 1] = across, across ^ 1
+                        stack.append(j)
+    if odd:  # each such component is one class, its own reverse
+        for i in range(0, len(root), 2):
+            if root[i] >> 1 in odd:
+                root[i] = root[i + 1] = root[i] & ~1
     return group, root, _reverse_classes(root)
 
 
@@ -148,9 +188,10 @@ def _bits(x: int) -> Iterator[int]:
 
 
 def _reverse_classes(root: list[int]) -> dict:
-    # Node 2k + 1 holds the reverses of node 2k's edges and a class is a union
-    # of nodes, so a class's reverses lie in one class exactly when every node
-    # pair maps the two classes alike.  A class mapped to itself is self-inverse.
+    # root[2k + 1] is the class of the reverses of the edges in root[2k] (a
+    # node's in-edges and its out-edges), and a class is a union of such
+    # halves, so a class's reverses lie in one class exactly when every pair
+    # maps the two classes alike.  A class mapped to itself is self-inverse.
     inverse: dict = {}
     nodes = iter(root)
     for a, b in zip(nodes, nodes):  # (root[2k], root[2k + 1]) for each k
@@ -162,42 +203,74 @@ def _reverse_classes(root: list[int]) -> dict:
 def color_classes(g: Graph) -> ColorMap:
     """Partition the directed edges into implication classes and pair them into colors.
 
-    The classes are ``_edge_classes``'s; edges are read in vertex order, so
-    each color's id (given when its class or the reverse first appears) and
-    canonical forward half (the class of its smallest directed edge) are
-    deterministic.  One scan builds the halves and the edge index.
+    Gallai (1967): each color is one joined child block of a series node,
+    directed from the earlier child to the later, or lies inside a prime
+    node.  So the graph is split down to its topmost prime nodes (prime
+    nodes with no prime ancestor), with no prime split, and only G[x] is
+    labelled by ``_edge_classes`` for each such x; a cograph runs no
+    labelling.  Colors are numbered by their smallest edge, and each
+    forward half is the class of that edge, read in vertex order.
     """
-    vs = g.vertices
-    group, root, inverse = _edge_classes(g.adjacency_masks(), (1 << len(vs)) - 1)
-    halves: dict = {}  # class -> (color id, its edges, or None for a reverse half)
-    forward: list[list] = []  # by color id
-    edge_to_color: dict = {}
+    vs, masks = g.vertices, g.adjacency_masks()
+    n = len(vs)
+    full = (1 << n) - 1
+    # Per color: the code t * n + h of its smallest edge (t, h), its forward
+    # half, and its edges as (smaller, larger) pairs.
+    found = []
+    for entry in _walk(masks, [(full, 0, None)] if full & (full - 1) else [], None, lambda x: True):
+        if len(entry) == 2:  # a topmost prime node, unsplit
+            found += _prime_colors(vs, masks, entry[0])
+            continue
+        _, kind, parts = entry
+        if kind == SERIES:
+            names = [g.vertex_list(p) if p & (p - 1) else [vs[p.bit_length() - 1]] for p in parts]
+            low = [(p & -p).bit_length() - 1 for p in parts]
+            for i, j in combinations(range(len(parts)), 2):
+                half = [(u, v) for u in names[i] for v in names[j]]
+                if names[i][-1] < names[j][0]:  # child i wholly precedes child j
+                    edges = half
+                else:
+                    edges = [e if e[0] < e[1] else (e[1], e[0]) for e in half]
+                found.append((low[i] * n + low[j], half, edges))
+    found.sort()  # by smallest edge: no two colors share one
+    edge_to_color = {e: cid for cid, (_, _, edges) in enumerate(found) for e in edges}
+    colors = tuple(ColorClass(cid, frozenset(half)) for cid, (_, half, _) in enumerate(found))
+    return ColorMap(graph=g, colors=colors, edge_to_color=edge_to_color)
+
+
+def _prime_colors(vs: tuple, masks: list[int], x: int) -> list[tuple]:
+    # ``color_classes``'s entries for the colors of G[x]: its edges are read
+    # in vertex order, so a color is met first at its smallest edge, whose
+    # class is its forward half.
+    group, root, inverse = _edge_classes(masks, x)
+    n = len(vs)
+    halves: dict = {}  # class -> (its color's entry, its edges, or None for a reverse half)
+    found = []
     for t, of in group.items():
         for h in sorted(of):
             c = root[2 * of[h]]
             if c not in halves:  # a new color, whose forward half is c
-                edges = []
-                halves[inverse[c]] = (len(forward), None)
-                halves[c] = (len(forward), edges)  # after the reverse: a self-inverse class keeps its edges
-                forward.append(edges)
-            cid, edges = halves[c]
+                entry = (t * n + h, [], [])
+                halves[inverse[c]] = (entry, None)
+                halves[c] = (entry, entry[1])  # after the reverse: a self-inverse class keeps its edges
+                found.append(entry)
+            entry, half = halves[c]
             e = (vs[t], vs[h])
-            if edges is not None:
-                edges.append(e)
+            if half is not None:
+                half.append(e)
             if t < h:
-                edge_to_color[e] = cid
-    colors = tuple(ColorClass(cid, frozenset(edges)) for cid, edges in enumerate(forward))
-    return ColorMap(graph=g, colors=colors, edge_to_color=edge_to_color)
+                entry[2].append(e)
+    return found
 
 
 def is_comparability(g: Graph) -> bool:
     """True iff the graph admits a transitive orientation.
 
-    The verdict reads the union-find labels of each topmost prime node of
-    the tree (no implication class there is its own reverse; a cograph runs
-    no union-find) and builds no ``ColorMap``.  When it says yes, the first
-    orientation is verified on bitmasks; a failure there is an internal
-    invariant error, never a return value.
+    The verdict reads the ``_edge_classes`` labels of each topmost prime
+    node of the tree (no implication class there is its own reverse; a
+    cograph runs no labelling) and builds no ``ColorMap``.  When it says
+    yes, the first orientation is verified on bitmasks; a failure there is
+    an internal invariant error, never a return value.
     """
     from .orientation import _analyze
 

@@ -144,7 +144,7 @@ def mask_components(masks: list[int], x: int, co: bool = False) -> list[int]:
     while x:  # x keeps the vertices not yet reached
         comp = frontier = x & -x
         x ^= comp
-        while frontier:
+        while frontier and x:  # once every vertex is reached, comp is whole
             b = frontier & -frontier
             new = (masks[b.bit_length() - 1] ^ flip) & x
             x ^= new

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .decomposition import PARALLEL, SERIES, DecompositionNode, _blocks, _tree_splits, is_strong_module
 from .errors import DomainError
-from .forcing import ColorMap, color_classes
+from .forcing import ColorClass, ColorMap, color_classes
 from .graph import Graph
 
 
@@ -46,9 +46,17 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
     Every edge is charged to the unique node whose children separate its
     endpoints.  Parallel nodes can receive nothing (their children are
     disconnected from each other), so only series and prime nodes appear.
+    A joined child block of a series node is one color, and so are all the
+    blocks of a prime node (Gallai 1967), so each such color is read once,
+    at its representatives' edge; a node whose children are all single
+    vertices reads each edge, one block apiece.  ``DomainError`` when
+    ``cmap`` is the color map of another graph.
     """
     if cmap is None:
         cmap = color_classes(g)
+    _check_map(g, cmap)
+    edge_color = cmap.edge_to_color
+    vs, masks = g.vertices, g.adjacency_masks()
     paths = [()]  # the paths of the internal nodes still to come, next on top
     result = []
     for x, kind, parts in _tree_splits(g, tree):
@@ -56,12 +64,24 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
         paths += [path + (i,) for i in range(len(parts) - 1, -1, -1) if parts[i] & (parts[i] - 1)]
         if kind == PARALLEL:
             continue
-        members = [g.vertex_list(p) for p in parts]
-        edges = frozenset(g.edge_key(u, v) for i, j in _blocks(g.adjacency_masks(), kind, parts) for u in members[i] for v in members[j])
+        members = [g.vertex_list(p) if p & (p - 1) else [vs[p.bit_length() - 1]] for p in parts]
+        blocks = _blocks(masks, kind, parts)
+        edges = frozenset([(u, v) if u < v else (v, u) for i, j in blocks for u in members[i] for v in members[j]])
+        colors = None
+        if x.bit_count() > len(parts):  # some block has several edges
+            reps = [(members[i][0], members[j][0]) for i, j in (blocks if kind == SERIES else blocks[:1])]
+            colors = frozenset([edge_color[e if e[0] < e[1] else (e[1], e[0])] for e in reps])
+            # The colors of the node's edges lie among them (its children are
+            # modules), so they are all read when their sizes add up.  They
+            # do not on a hand-built tree whose nodes are not all strong.
+            if sum(_size(cmap.colors[c]) for c in colors) != len(edges):
+                colors = None
+        if colors is None:
+            colors = frozenset(map(edge_color.__getitem__, edges))
         result.append(
             Multiplex(
                 span=g.unmask(x),
-                colors=frozenset(cmap.color_of(e) for e in edges),
+                colors=colors,
                 edges=edges,
                 rank=len(parts) - 1 if kind == SERIES else 1,
                 node_path=path,
@@ -70,8 +90,25 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
     return result
 
 
+def _size(color: ColorClass) -> int:
+    # A color's number of edges: a self-inverse forward half holds both directions.
+    return len(color.forward) >> color.self_inverse
+
+
+def _check_map(g: Graph, cmap: ColorMap) -> None:
+    if cmap.graph is not g and cmap.graph != g:
+        raise DomainError("the color map is of another graph")
+
+
 def color_multiplex(g: Graph, cmap: ColorMap, color_id: int) -> Multiplex:
-    """The rank-1 multiplex generated by a single edge of the given color."""
+    """The rank-1 multiplex generated by a single edge of the given color.
+
+    ``DomainError`` unless ``color_id`` is an int in ``0..len(cmap.colors) - 1``."""
+    _check_map(g, cmap)
+    if not isinstance(color_id, int) or isinstance(color_id, bool):
+        raise DomainError(f"color id {color_id!r} is not an int")
+    if not 0 <= color_id < len(cmap.colors):
+        raise DomainError(f"color id {color_id} is outside 0..{len(cmap.colors) - 1}")
     color = cmap.colors[color_id]
     return Multiplex(
         span=color.span,
@@ -98,6 +135,7 @@ def simplex_extension_exists(g: Graph, m: Multiplex, a, cmap: ColorMap | None = 
         raise DomainError(f"vertex {a!r} lies inside the multiplex span")
     if cmap is None:
         cmap = color_classes(g)
+    _check_map(g, cmap)
     fresh: set[int] = set()
     for b in g.neighbors(a):
         if b in m.span:

@@ -182,7 +182,7 @@ def _series_piece(blocks: list, perm: Sequence[int]) -> bytes:
 def _analyze(g: Graph, shuffle: random.Random | None = None) -> list[tuple] | None:
     """The one analysis behind the verdict, the count and the enumeration.
 
-    Splits the graph once and runs the union-find only on G[x] for each
+    Splits the graph once and runs ``_edge_classes`` only on G[x] for each
     topmost prime node x (one with no prime ancestor), after the scans that
     find every topmost prime node connected and co-connected and before any
     prime split: series and parallel nodes leave no forcing choice (Gallai

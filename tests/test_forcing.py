@@ -25,6 +25,7 @@ from transor.oracle import (
     implication_classes,
     random_family,
     random_graph,
+    six_vertex_graph_classes,
 )
 
 import checks
@@ -144,6 +145,58 @@ def test_analysis_labels_agree_with_the_color_map():
                 u, v = reps[i], reps[j]
                 assert (u, v) in cmap.colors[cmap.color_of(u, v)].forward
     assert primes > 100
+
+
+def _gallai_colors(g) -> None:
+    # Gallai (1967): every edge of a joined child block of a series node has
+    # one color, all crossing edges of a prime node have one color, and
+    # there are no other colors.  Each edge is read once, at the node whose
+    # children separate its endpoints.
+    color = color_classes(g).edge_to_color
+    masks = g.adjacency_masks()
+    expected = 0
+    for node in decomposition_tree(g).walk() if g.vertex_count else ():
+        if node.kind not in (SERIES, PRIME):
+            continue
+        parts = [g.mask_of(c.vertex_set) for c in node.children]
+        child = {u: i for i, c in enumerate(node.children) for u in c.vertex_set}
+        x = g.mask_of(node.vertex_set)
+        blocks: dict = {}  # (i, j) -> the colors of its edges
+        for i, p in enumerate(parts):
+            for u in g.vertex_list(p):
+                for v in g.vertex_list(masks[g.index[u]] & x & ~p):
+                    if u < v:
+                        blocks.setdefault(tuple(sorted((i, child[v]))), set()).add(color[u, v])
+        if node.kind == SERIES:
+            assert len(blocks) == len(parts) * (len(parts) - 1) // 2
+            assert all(len(colors) == 1 for colors in blocks.values())
+            expected += len(blocks)
+        else:
+            assert len(set().union(*blocks.values())) == 1
+            expected += 1
+    assert sorted(set(color.values())) == list(range(expected))
+
+
+def test_colors_are_series_blocks_and_prime_nodes():
+    graphs = six_vertex_graph_classes() + past_oracle_scale_graphs()
+    graphs += [checks.substitution_graph(500, 1)[0], checks.substitution_graph(2000, 3)[0]]
+    graphs.append(checks.substitution_graph(2000, 3, c5=True)[0])
+    for g in graphs:
+        _gallai_colors(g)
+
+
+def test_color_classes_label_no_cograph(monkeypatch):
+    # A cograph's colors are its series nodes' blocks: no labelling runs.
+    labelled = []
+    real = forcing._edge_classes
+    monkeypatch.setattr(forcing, "_edge_classes", lambda masks, x: labelled.append(x) or real(masks, x))
+    for g in (checks.threshold_graph(200), checks.balanced_cograph(6), complete_graph(30)):
+        assert len(color_classes(g).colors) == sum(
+            len(node.children) * (len(node.children) - 1) // 2 for node in decomposition_tree(g).walk() if node.kind == SERIES
+        )
+    assert labelled == []
+    assert len(color_classes(fixtures()["p4"]).colors) == 1
+    assert len(labelled) == 1
 
 
 def test_comparability_fixtures(fx):

@@ -12,6 +12,7 @@ from transor import (
     multiplex_partition,
     simplex_extension_exists,
 )
+from transor.decomposition import LEAF, PRIME, SERIES, DecompositionNode
 from transor.oracle import fixtures
 
 import checks
@@ -106,3 +107,57 @@ def test_multiplex_properties_on_small_corpus(small_bundles):
         checks.check_extension_characterizes_maximality(b)
         checks.check_node_shapes(b)
         checks.check_spanning_color_gives_nontrivial_strong(b)
+
+
+def test_a_color_id_outside_the_map_is_a_domain_error(fx):
+    # The paw has colors 0 and 1: -1 would index from the end, True would be
+    # read as 1, and 5 would be a bare IndexError.
+    paw = fx["paw"]
+    cmap = color_classes(paw)
+    for bad in (-1, True, 5, 2, 1.0, "0"):
+        with pytest.raises(DomainError, match="color id"):
+            color_multiplex(paw, cmap, bad)
+    assert color_multiplex(paw, cmap, 1).edges == {("b", "c")}
+
+
+def test_the_color_of_a_non_edge_is_a_domain_error(fx):
+    cmap = color_classes(fx["paw"])
+    for u, v in (("a", "z"), ("a", "a"), ("b", "d")):
+        with pytest.raises(DomainError, match=rf"\('{u}', '{v}'\) is not an edge"):
+            cmap.color_of(u, v)
+    assert cmap.color_of("c", "b") == cmap.color_of(("b", "c")) == 1
+
+
+def test_a_color_map_of_another_graph_is_a_domain_error(fx):
+    # Read one edge per block, the paw's partition under K4's map would
+    # carry K4's ids, and K4's under the paw's map would miss ('b', 'd').
+    paw, k4 = fx["paw"], fx["k4"]
+    pmap, kmap = color_classes(paw), color_classes(k4)
+    for g, cmap in ((paw, kmap), (k4, pmap)):
+        with pytest.raises(DomainError, match="another graph"):
+            multiplex_partition(g, decomposition_tree(g), cmap)
+        with pytest.raises(DomainError, match="another graph"):
+            color_multiplex(g, cmap, 0)
+    with pytest.raises(DomainError, match="another graph"):
+        simplex_extension_exists(k4, color_multiplex(k4, kmap, 0), "c", pmap)
+    twin = Graph(paw.vertices, paw.sorted_edges())  # equal, built apart
+    assert multiplex_partition(twin, decomposition_tree(twin), pmap) == multiplex_partition(paw, decomposition_tree(paw))
+
+
+def _node(kind, *children):
+    return DecompositionNode(frozenset().union(*(c.vertex_set for c in children)), kind, children)
+
+
+def test_a_hand_built_tree_whose_blocks_hold_several_colors_reads_every_edge(fx):
+    # The cover walk accepts these trees, whose inner nodes are modules but
+    # not strong: K3's block ({a}, {b, c}) and K4's ({a}, {b, c, d}) hold a
+    # color per edge, and each multiplex lists them all.
+    a, b, c, d = (DecompositionNode(frozenset(v), LEAF, ()) for v in "abcd")
+    cases = [
+        (fx["k3"], _node(SERIES, a, _node(SERIES, b, c)), [("ab", "ac"), ("bc",)]),
+        (fx["k4"], _node(PRIME, a, _node(SERIES, b, c, d)), [("ab", "ac", "ad"), ("bc", "bd", "cd")]),
+    ]
+    for g, tree, edges in cases:
+        cmap = color_classes(g)
+        parts = multiplex_partition(g, tree, cmap)
+        assert [m.colors for m in parts] == [{cmap.color_of(tuple(e)) for e in node} for node in edges]

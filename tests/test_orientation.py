@@ -195,18 +195,17 @@ def test_a_first_selector_off_the_verified_arcs_is_an_invariant_error(fx, monkey
 
 
 def test_a_class_reversing_into_two_classes_is_an_invariant_error(fx, monkeypatch):
-    # Relabel one union-find node: its class's reverses then lie in two
-    # classes, which every verb must refuse rather than answer.  The verbs
-    # label only inside prime nodes, so they meet it on P4; the paw is a
-    # cograph, and only its color map runs the union-find.
+    # Relabel one knotting-graph node: its class's reverses then lie in two
+    # classes, which every verb and the color map must refuse rather than
+    # answer.  All of them label only inside prime nodes, so they meet it on
+    # P4; the paw is a cograph and runs no labelling.
     original = forcing._reverse_classes
     monkeypatch.setattr(forcing, "_reverse_classes", lambda root: original([-1] + root[1:]))
-    with pytest.raises(InvariantError, match="reverses into two classes"):
-        color_classes(fx["paw"])
-    for verb in VERBS:
+    for verb in (color_classes, *VERBS):
         with pytest.raises(InvariantError, match="reverses into two classes"):
             verb(fx["p4"])
     assert count_orientations(fx["paw"]) == 4
+    assert len(color_classes(fx["paw"]).colors) == 2
 
 
 def test_prime_blocks_in_two_colors_are_an_invariant_error(fx, monkeypatch):

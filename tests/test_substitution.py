@@ -7,8 +7,16 @@ from math import prod
 
 import pytest
 
-from transor import Graph, count_orientations, decomposition_tree, enumerate_orientations, is_comparability, orientation_at
-from transor import cli, orientation
+from transor import (
+    Graph,
+    color_classes,
+    count_orientations,
+    decomposition_tree,
+    enumerate_orientations,
+    is_comparability,
+    orientation_at,
+)
+from transor import cli, forcing, orientation
 from transor.decomposition import PRIME, SERIES
 
 import checks
@@ -60,6 +68,21 @@ def test_a_substitution_graph_matches_its_construction(n, seed, monkeypatch):
     for s in range(3):
         assert prod(orientation._radices(orientation._analyze(g, random.Random(s)))) == count
         assert list(enumerate_orientations(g, 3, shuffle=random.Random(s))) == first
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_the_color_map_labels_each_topmost_prime_node_once(n, seed, monkeypatch):
+    # Gallai (1967): the colors above the topmost prime nodes are series
+    # blocks, so only those nodes are labelled, each once and alone.
+    labelled = []
+    real = forcing._edge_classes
+    monkeypatch.setattr(forcing, "_edge_classes", lambda masks, x: labelled.append(x) or real(masks, x))
+    for c5 in (False, True):
+        g, tree, _ = checks.substitution_graph(n, seed, c5)
+        labelled.clear()
+        colors = color_classes(g).colors
+        assert sorted(labelled) == sorted(g.mask_of(s) for s in topmost_primes(tree))
+        assert any(c.self_inverse for c in colors) == c5
 
 
 @pytest.mark.parametrize("n, seed", CASES)
