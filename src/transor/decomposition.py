@@ -285,8 +285,10 @@ def maximal_strong_partition(g: Graph, *, shuffle: random.Random | None = None) 
     yields the maximal modules not containing v, and those that close with v
     to a proper module merge with v into one part, the rest being parts as
     they are.  ``shuffle`` picks v and the pivot order; the result is
-    order-independent and tests rely on that.
+    order-independent and tests rely on that.  ``DomainError`` unless
+    ``shuffle`` is None or a ``random.Random``.
     """
+    _check_shuffle(shuffle)
     if g.vertex_count < 2:
         raise DomainError("partition needs at least two vertices")
     masks = g.adjacency_masks()
@@ -322,40 +324,47 @@ def quotient(g: Graph, partition) -> Graph:
     return Graph(reps, edges)
 
 
-def _split(g: Graph, shuffle: random.Random | None = None, before_prime=None) -> list[tuple[int, str, list[int]]] | None:
+def _upper(g: Graph) -> tuple[list[tuple[int, str, list[int] | None]], dict[int, int]]:
+    # ``_split``'s entries down to the topmost prime nodes (prime nodes with
+    # no prime ancestor), in pre-order, each such x listed as ``(x, PRIME,
+    # None)``: scanned but unsplit.  Also the want (see ``_below``) that each
+    # such x's split starts from, by its mask.
+    full = (1 << g.vertex_count) - 1
+    wants: dict[int, int] = {}
+    return _walk(g.adjacency_masks(), [(full, 0, None)] if full & (full - 1) else [], wants, None, False), wants
+
+
+def _split(g: Graph, shuffle: random.Random | None = None, upper: tuple | None = None) -> list[tuple[int, str, list[int]]]:
     # The one place the graph is split: ``(x, kind, parts)`` host masks per
     # internal node of the tree, in pre-order (children in order), proved by
     # ``_below``'s cover walk.  A singleton part is a leaf and has no entry.
-    # ``before_prime`` sees each topmost prime node's mask (one with no prime
-    # ancestor), in pre-order, before any prime split: the nodes above them
-    # are split first, and each topmost prime node's subtree is spliced in
-    # after.  None when it answers false for one.
+    # Each topmost prime node of ``upper`` (``_upper(g)`` when not given)
+    # has its subtree spliced in, after every node above it is split.
+    splits, wants = upper or _upper(g)
     masks = g.adjacency_masks()
-    full = (1 << g.vertex_count) - 1
-    splits = _walk(masks, [(full, 0, None)] if full & (full - 1) else [], shuffle, before_prime)
-    if splits is None or before_prime is None:
-        return splits
     spliced = []
-    for entry in splits:  # a topmost prime node is (x, want), already scanned
-        spliced += [entry] if len(entry) == 3 else _walk(masks, [(*entry, PRIME)], shuffle)
+    for entry in splits:
+        x, _, parts = entry
+        if parts is None:
+            spliced += _walk(masks, [(x, wants[x], PRIME)], wants, shuffle)
+        else:
+            spliced.append(entry)
     return spliced
 
 
-def _walk(masks: list[int], stack: list, shuffle: random.Random | None, before_prime=None) -> list | None:
+def _walk(masks: list[int], stack: list, wants: dict, shuffle: random.Random | None, split: bool = True) -> list:
     # ``_split``'s entries for the subtrees on ``stack``, the top first:
     # ``(x, want, above)`` per node of two or more vertices, with the want
-    # ``_below`` gave it and what ``_scan`` may skip.  With ``before_prime``, a
-    # prime node is handed to it instead of split and listed as
-    # ``(x, want)``; None when it answers false.
+    # ``_below`` gave it and what ``_scan`` may skip.  Unless ``split``, a
+    # prime node is listed as ``(x, PRIME, None)``, its want in ``wants``.
     splits = []
     while stack:
         x, want, above = stack.pop()
         kind, parts = _scan(masks, x, above)
         if parts is None:
-            if before_prime is not None:
-                if not before_prime(x):
-                    return None
-                splits.append((x, want))
+            if not split:
+                splits.append((x, PRIME, None))
+                wants[x] = want
                 continue
             parts = _prime_parts(masks, x, shuffle)
         splits.append((x, kind, parts))
@@ -363,11 +372,18 @@ def _walk(masks: list[int], stack: list, shuffle: random.Random | None, before_p
     return splits
 
 
+def _check_shuffle(shuffle) -> None:
+    if shuffle is not None and not isinstance(shuffle, random.Random):
+        raise DomainError(f"shuffle {shuffle!r} is not a random.Random")
+
+
 def decomposition_tree(g: Graph, *, shuffle: random.Random | None = None) -> DecompositionNode:
     """Decomposition into strong modules, deterministic child order.
 
     Assembles the nodes bottom-up from ``_split``'s pre-order masks: no
-    recursion and no graph per level."""
+    recursion and no graph per level.  ``DomainError`` unless ``shuffle`` is
+    None or a ``random.Random``."""
+    _check_shuffle(shuffle)
     if g.vertex_count == 0:
         raise DomainError("cannot decompose an empty vertex set")
     vs = g.vertices

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterator
 
-from .decomposition import SERIES, _walk
+from .decomposition import SERIES, _upper
 from .errors import DomainError, InvariantError
 from .graph import Graph, spanned_vertices
 
@@ -73,9 +73,9 @@ class ColorMap:
     def color_of(self, u, v=None) -> int:
         """The id of the color of edge uv, given as two vertices or one pair.
 
-        ``DomainError`` unless uv is an edge of the graph."""
+        ``DomainError`` unless uv is an edge of the graph; a string is no pair."""
         if v is None:
-            u, v = u
+            u, v = _pair(u)
         cid = self.edge_to_color.get((u, v))
         if cid is None:
             cid = self.edge_to_color.get((v, u))
@@ -85,10 +85,12 @@ class ColorMap:
 
 
 def directly_forces(e1: tuple, e2: tuple, g: Graph) -> bool:
-    """True iff directed edge e1 forces e2 in one step (reflexive by convention)."""
-    a, b = e1
-    a2, b2 = e2
-    for x, y in (e1, e2):
+    """True iff directed edge e1 forces e2 in one step (reflexive by convention).
+
+    ``DomainError`` unless both are pairs naming edges of the graph."""
+    a, b = _pair(e1)
+    a2, b2 = _pair(e2)
+    for x, y in ((a, b), (a2, b2)):
         if not g.has_edge(x, y):
             raise DomainError(f"({x!r}, {y!r}) is not an edge of the graph")
     if a == a2 and b == b2:
@@ -98,6 +100,15 @@ def directly_forces(e1: tuple, e2: tuple, g: Graph) -> bool:
     if b == b2:
         return not g.has_edge(a, a2)
     return False
+
+
+def _pair(pair, name: str = "pair of vertices") -> tuple:
+    # The two items of a pair; a string is no pair, though it may unpack as one.
+    try:
+        u, v = () if isinstance(pair, (str, bytes)) else pair
+    except (TypeError, ValueError):
+        raise DomainError(f"{pair!r} is not a {name}") from None
+    return u, v
 
 
 def _edge_classes(masks: list[int], x: int) -> tuple[dict, list[int], dict]:
@@ -121,12 +132,7 @@ def _edge_classes(masks: list[int], x: int) -> tuple[dict, list[int], dict]:
     group: dict = {}
     owner: list[int] = []  # node -> its vertex
     held: list = []  # node -> the vertices of its co-component
-    # A range walks the whole mask (``color_classes``, a prime root): against
-    # ``_bits`` it takes 2-10 µs off labellings of 40-280 µs on 24-40 vertex
-    # prime graphs, and the benchmark's ``prime-scale`` ``multiplexes_s``
-    # read 1.036x an ``enumerate(masks)`` walk's with ``_bits`` alone and
-    # 0.987x with this range (6 interleaved pairs each).
-    for t in range(len(masks)) if x == (1 << len(masks)) - 1 else _bits(x):
+    for t in _bits(x):
         m = masks[t] & x  # the neighbours in x not yet reached
         of: dict = {}
         first = len(owner)
@@ -205,24 +211,21 @@ def color_classes(g: Graph) -> ColorMap:
 
     Gallai (1967): each color is one joined child block of a series node,
     directed from the earlier child to the later, or lies inside a prime
-    node.  So the graph is split down to its topmost prime nodes (prime
-    nodes with no prime ancestor), with no prime split, and only G[x] is
-    labelled by ``_edge_classes`` for each such x; a cograph runs no
-    labelling.  Colors are numbered by their smallest edge, and each
-    forward half is the class of that edge, read in vertex order.
+    node.  So ``_upper`` walks down to the topmost prime nodes (prime nodes
+    with no prime ancestor) and splits none, and the colors are the series
+    blocks it lists and, for each such x, G[x] as ``_edge_classes`` labels
+    it; a cograph runs no labelling.  Colors are numbered by their smallest
+    edge, and each forward half is the class of that edge, in vertex order.
     """
     vs, masks = g.vertices, g.adjacency_masks()
     n = len(vs)
-    full = (1 << n) - 1
     # Per color: the code t * n + h of its smallest edge (t, h), its forward
     # half, and its edges as (smaller, larger) pairs.
     found = []
-    for entry in _walk(masks, [(full, 0, None)] if full & (full - 1) else [], None, lambda x: True):
-        if len(entry) == 2:  # a topmost prime node, unsplit
-            found += _prime_colors(vs, masks, entry[0])
-            continue
-        _, kind, parts = entry
-        if kind == SERIES:
+    for x, kind, parts in _upper(g)[0]:
+        if parts is None:  # a topmost prime node, unsplit
+            found += _prime_colors(vs, masks, x)
+        elif kind == SERIES:
             names = [g.vertex_list(p) if p & (p - 1) else [vs[p.bit_length() - 1]] for p in parts]
             low = [(p & -p).bit_length() - 1 for p in parts]
             for i, j in combinations(range(len(parts)), 2):
@@ -267,10 +270,10 @@ def is_comparability(g: Graph) -> bool:
     """True iff the graph admits a transitive orientation.
 
     The verdict reads the ``_edge_classes`` labels of each topmost prime
-    node of the tree (no implication class there is its own reverse; a
-    cograph runs no labelling) and builds no ``ColorMap``.  When it says
-    yes, the first orientation is verified on bitmasks; a failure there is
-    an internal invariant error, never a return value.
+    node ``_upper`` lists, before any prime split (no class there is its
+    own reverse; a cograph runs no labelling), and builds no ``ColorMap``.
+    When it says yes, the first orientation is verified on bitmasks; a
+    failure there is an internal invariant error, never a return value.
     """
     from .orientation import _analyze
 

@@ -17,9 +17,9 @@ from math import factorial, prod
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .decomposition import PARALLEL, PRIME, SERIES, _blocks, _split
+from .decomposition import PARALLEL, PRIME, SERIES, _blocks, _check_shuffle, _split, _upper
 from .errors import DomainError, InvariantError
-from .forcing import _bits, _edge_classes
+from .forcing import _bits, _edge_classes, _pair
 from .graph import Graph
 
 
@@ -82,10 +82,7 @@ def _read_pairs(g: Graph, pairs: Iterable) -> tuple[frozenset, bool]:
         raise DomainError("vertex names are ambiguous under str()")
     directed = set()
     for pair in pairs:
-        try:
-            t, h = () if isinstance(pair, (str, bytes)) else pair  # a string is no pair
-        except (TypeError, ValueError):
-            raise DomainError(f"{pair!r} is not a (tail, head) pair") from None
+        t, h = _pair(pair, "(tail, head) pair")
         tail = by_name.get(str(t))
         head = by_name.get(str(h))
         if tail is None or head is None:
@@ -182,49 +179,43 @@ def _series_piece(blocks: list, perm: Sequence[int]) -> bytes:
 def _analyze(g: Graph, shuffle: random.Random | None = None) -> list[tuple] | None:
     """The one analysis behind the verdict, the count and the enumeration.
 
-    Splits the graph once and runs ``_edge_classes`` only on G[x] for each
-    topmost prime node x (one with no prime ancestor), after the scans that
-    find every topmost prime node connected and co-connected and before any
-    prime split: series and parallel nodes leave no forcing choice (Gallai
-    1967), so a cograph runs none.  The classes of G on the edges inside a
-    module are the module's own, so a nested prime node reads its topmost
-    ancestor's labels.
+    ``_upper`` walks the tree down to its topmost prime nodes (prime nodes
+    with no prime ancestor), ``_edge_classes`` then labels G[x] for each
+    such x, and only then does ``_split`` split the prime nodes: series and
+    parallel nodes leave no forcing choice (Gallai 1967), so a cograph runs
+    none.  The classes of G on the edges inside a module are the module's
+    own, so a nested prime node reads its topmost ancestor's labels.
 
-    None ("false") when a class of some G[x] is its own reverse: no graph
-    that induces G[x] is a comparability graph.  Otherwise ``(kind, parts,
-    arcs)`` per series and prime node, in pre-order: each child's vertex
-    mask, and the joined child blocks (``_blocks``, read off the
-    representatives alone) directed, tail child first, as the first
-    orientation has them (i -> j with i < j at a series node; the class of
-    the first block, its smallest crossing edge, at a prime node, whose
-    blocks must all lie in it or its reverse).  ``_verify`` proves that
-    orientation transitive, so "true" rests on a witness and only the count
-    leans on the tree.  Lays out no slots and builds no orientation: the enumeration
-    checks that its first selector picks these arcs, and the selectors
-    after it, like ``orientation_at``'s, are lifted unchecked."""
+    None ("false") at the first G[x] with a class that is its own reverse,
+    before any prime split: no graph that induces G[x] is a comparability
+    graph.  Otherwise ``(kind, parts, arcs)`` per series and prime node, in
+    pre-order: each child's vertex mask, and the joined child blocks
+    (``_blocks``, read off the representatives alone) directed, tail child
+    first, as the first orientation has them (i -> j with i < j at a series
+    node; the class of the first block, its smallest crossing edge, at a
+    prime node, whose blocks must all lie in it or its reverse).
+    ``_verify`` proves that orientation transitive, so "true" rests on a
+    witness and only the count leans on the tree.  Lays out no slots and
+    builds no orientation: the enumeration checks that its first selector
+    picks these arcs, and the selectors after it, like
+    ``orientation_at``'s, are lifted unchecked."""
     masks = g.adjacency_masks()
-    labelled: list[tuple] = []  # (x, its labels) per topmost prime node, in pre-order
-
-    def label(x: int) -> bool:
-        classes = _edge_classes(masks, x)
-        if any(c == r for c, r in classes[2].items()):  # a class that is its own reverse
-            return False
-        labelled.append((x, classes))
-        return True
-
-    splits = _split(g, shuffle, label)
-    if splits is None:
-        return None
-    tops = iter(labelled)
-    top = 0
+    upper = _upper(g)
+    labelled = {}  # topmost prime node -> its labels
+    for x, _, parts in upper[0]:
+        if parts is None:
+            labelled[x] = _edge_classes(masks, x)
+            if any(c == r for c, r in labelled[x][2].items()):  # a class that is its own reverse
+                return None
+    splits = _split(g, shuffle, upper)
     nodes = []
     for x, kind, parts in splits:
         if kind == PARALLEL:
             continue
         blocks = _blocks(masks, kind, parts)
         if kind == PRIME:
-            if not x & top:
-                top, (group, root, inverse) = next(tops)
+            if x in labelled:  # a topmost prime node; the nested ones follow it
+                group, root, inverse = labelled[x]
             reps = [(p & -p).bit_length() - 1 for p in parts]
             labels = [root[2 * group[reps[i]][reps[j]]] for i, j in blocks]
             forward = labels[0]
@@ -373,8 +364,10 @@ def enumerate_orientations(
     A non-comparability graph yields an empty stream.  The cartesian product is generated lazily, so a ``limit``
     makes even astronomically large spaces cheap.  Each orientation is its
     selector over output tables built once after the analysis, and none is
-    sorted.  ``DomainError`` unless ``limit`` is None or an int.
+    sorted.  ``DomainError`` unless ``limit`` is None or an int and
+    ``shuffle`` None or a ``random.Random``.
     """
+    _check_shuffle(shuffle)
     if not (limit is None or isinstance(limit, int) and not isinstance(limit, bool)):
         raise DomainError(f"limit {limit!r} is not an int")
     if limit is not None and limit <= 0:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,11 +10,12 @@ from itertools import combinations
 
 import pytest
 
-from transor import decomposition_tree, orientation
+from transor import decomposition, decomposition_tree, orientation
 from transor.cli import main
 from transor.io import parse_graph
+from transor.oracle import path_graph
 
-from checks import balanced_cograph, threshold_graph
+from checks import balanced_cograph, substitution_graph, threshold_graph
 
 PAW = "a b\na c\na d\nb c\n"
 C5 = "a b\nb c\nc d\nd e\ne a\n"
@@ -111,19 +113,47 @@ def test_count_prints_past_the_int_to_str_digit_limit(write):
     assert value == 24**3300
 
 
-def test_decompose_seed_does_not_change_output(write, capsys):
-    path = write("paw.edges", PAW)
-    _, base, _ = run(capsys, "decompose", path)
-    for seed in ("1", "2", "99"):
-        _, seeded, _ = run(capsys, "decompose", "--seed", seed, path)
-        assert seeded == base
+def _seed_inputs(write) -> list[tuple[str, bool]]:
+    # Edge-list paths, each with whether its tree has a prime node, the only
+    # place a seed is used: the paw is a cograph, P6 is one prime node, and
+    # the substitution graph nests prime nodes three deep.
+    def edges_file(name, g):
+        return write(name, "".join(f"vertex {v}\n" for v in g.vertices) + "".join(f"{u} {v}\n" for u, v in g.sorted_edges()))
+
+    return [
+        (write("paw.edges", PAW), False),
+        (edges_file("p6.edges", path_graph(6)), True),
+        (edges_file("nested.edges", substitution_graph(500, 1)[0]), True),
+    ]
 
 
-def test_enumerate_seed_does_not_change_output(write, capsys):
-    path = write("paw.edges", PAW)
-    _, base, _ = run(capsys, "enumerate", path)
-    _, seeded, _ = run(capsys, "enumerate", "--seed", "5", path)
-    assert seeded == base
+def _seeds_reaching_prime_splits(monkeypatch) -> list:
+    seen = []
+    real = decomposition._prime_parts
+    monkeypatch.setattr(decomposition, "_prime_parts", lambda masks, x, shuffle: seen.append(shuffle) or real(masks, x, shuffle))
+    return seen
+
+
+def test_decompose_seed_does_not_change_output(write, capsys, monkeypatch):
+    seen = _seeds_reaching_prime_splits(monkeypatch)
+    for path, prime in _seed_inputs(write):
+        _, base, _ = run(capsys, "decompose", path)
+        for seed in ("1", "2", "99"):
+            seen.clear()
+            _, seeded, _ = run(capsys, "decompose", "--seed", seed, path)
+            assert seeded == base
+            assert bool(seen) == prime and all(isinstance(s, random.Random) for s in seen)
+
+
+def test_enumerate_seed_does_not_change_output(write, capsys, monkeypatch):
+    seen = _seeds_reaching_prime_splits(monkeypatch)
+    for path, prime in _seed_inputs(write):
+        limit = ("--limit", "3") if prime else ()
+        _, base, _ = run(capsys, "enumerate", *limit, path)
+        seen.clear()
+        _, seeded, _ = run(capsys, "enumerate", "--seed", "5", *limit, path)
+        assert seeded == base != ""
+        assert bool(seen) == prime and all(isinstance(s, random.Random) for s in seen)
 
 
 def test_multiplexes_json(write, capsys):

@@ -25,7 +25,8 @@ from transor import (
 )
 from transor import decomposition
 from transor.decomposition import LEAF, PARALLEL, PRIME, SERIES, DecompositionNode
-from transor.oracle import closure_strong_partition, fixtures, random_graph
+from transor.forcing import color_classes
+from transor.oracle import closure_strong_partition, fixtures, path_graph, random_graph
 
 import checks
 
@@ -333,7 +334,18 @@ def test_one_scan_per_node_and_no_module_closure(g, monkeypatch):
     scans = []
     monkeypatch.setattr(decomposition, "mask_components", lambda *args, **kw: scans.append(1) or real(*args, **kw))
     monkeypatch.setattr(decomposition, "_close_seed", None)  # any call fails
-    for verb in (count_orientations, decomposition_tree):
+    for verb in (count_orientations, decomposition_tree, color_classes):
         scans.clear()
         verb(g)
         assert 0 < len(scans) <= internal + 1, verb
+
+
+@pytest.mark.parametrize("bad", [3, "x", 7, 0.5])
+def test_a_shuffle_that_is_no_random_generator_is_a_domain_error(fx, bad):
+    # P5 is one prime node, whose split would use the shuffle; the paw is a
+    # cograph, whose tree never does.  Both refuse it up front.
+    for g in (path_graph(5), fx["paw"]):
+        for verb in (decomposition_tree, maximal_strong_partition, lambda g, shuffle: list(enumerate_orientations(g, shuffle=shuffle))):
+            with pytest.raises(DomainError, match="is not a random.Random"):
+                verb(g, shuffle=bad)
+        assert decomposition_tree(g, shuffle=random.Random(1)) == decomposition_tree(g)

@@ -14,7 +14,7 @@ from transor import (
     directly_forces,
     is_comparability,
 )
-from transor import forcing
+from transor import decomposition, forcing
 from transor.decomposition import PRIME, SERIES
 from transor.orientation import _analyze
 from transor.oracle import (
@@ -63,6 +63,20 @@ def test_forcing_shared_head(fx):
 def test_forcing_requires_real_edges(fx):
     with pytest.raises(DomainError):
         directly_forces(("a", "c"), ("a", "b"), fx["p4"])
+
+
+def test_an_edge_that_is_no_pair_is_a_domain_error(fx):
+    # A string unpacks as its characters, so "ab" would read as the edge ab.
+    paw = fx["paw"]
+    cmap = color_classes(paw)
+    for bad in ("ab", b"ab", 5, ("a", "b", "c"), ("a",)):
+        with pytest.raises(DomainError, match="is not a pair of vertices"):
+            cmap.color_of(bad)
+        with pytest.raises(DomainError, match="is not a pair of vertices"):
+            directly_forces(bad, ("a", "c"), paw)
+        with pytest.raises(DomainError, match="is not a pair of vertices"):
+            directly_forces(("a", "c"), bad, paw)
+    assert cmap.color_of(("a", "b")) == cmap.color_of("a", "b") == cmap.color_of(("b", "a"))
 
 
 def test_paw_colors(fx):
@@ -183,6 +197,22 @@ def test_colors_are_series_blocks_and_prime_nodes():
     graphs.append(checks.substitution_graph(2000, 3, c5=True)[0])
     for g in graphs:
         _gallai_colors(g)
+
+
+def test_color_classes_split_no_prime_node(monkeypatch):
+    # The colors lie in the series blocks above the topmost prime nodes and
+    # in those nodes' own labels, so no prime node is split, however deep
+    # the prime nodes nest or whatever the verdict.
+    def refuse(masks, x, shuffle):
+        raise AssertionError("prime split ran")
+
+    monkeypatch.setattr(decomposition, "_prime_parts", refuse)
+    cases = [(checks.substitution_graph(500, 1)[0], False), (checks.substitution_graph(2000, 3)[0], False)]
+    cases += [(checks.substitution_graph(2000, 3, c5=True)[0], True), (checks.random_poset_graph(150, Fraction(1, 10), 1), False)]
+    for g, c5 in cases:
+        cmap = color_classes(g)
+        assert len(cmap.edge_to_color) == g.edge_count
+        assert any(c.self_inverse for c in cmap.colors) == c5
 
 
 def test_color_classes_label_no_cograph(monkeypatch):
