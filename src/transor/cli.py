@@ -64,10 +64,14 @@ def _tree_to_json(tree) -> str:
 
 
 def _tree_to_dot(tree) -> str:
+    # Nodes are numbered in one pre-order walk; the arcs follow, by (parent, child) number.
     lines = ["digraph decomposition {", "  node [shape=box];"]
-    names = {}
-    for i, (path, node) in enumerate(tree.walk_with_paths()):
-        names[path] = f"n{i}"
+    arcs, i = [], 0
+    stack = [(None, tree)]
+    while stack:
+        parent, node = stack.pop()
+        if parent is not None:
+            arcs.append((parent, i))
         label = node.kind
         if node.kind in (SERIES, PRIME):
             rank = len(node.children) - 1 if node.kind == SERIES else 1
@@ -75,9 +79,10 @@ def _tree_to_dot(tree) -> str:
         members = ",".join(str(v) for v in sorted(node.vertex_set))
         label += "\\n{" + members.replace("\\", "\\\\").replace('"', '\\"') + "}"
         lines.append(f'  n{i} [label="{label}"];')
-    for path, node in tree.walk_with_paths():
-        for i in range(len(node.children)):
-            lines.append(f"  {names[path]} -> {names[path + (i,)]};")
+        stack += [(i, c) for c in reversed(node.children)]
+        i += 1
+    arcs.sort()
+    lines += [f"  n{p} -> n{c};" for p, c in arcs]
     lines.append("}")
     return "\n".join(lines)
 

@@ -86,9 +86,9 @@ class DecompositionNode:
             yield node
             stack.extend(reversed(node.children))
 
-    def walk_with_paths(self, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], "DecompositionNode"]]:
+    def walk_with_paths(self) -> Iterator[tuple[tuple[int, ...], "DecompositionNode"]]:
         """Pre-order (path, node) pairs; a path lists child indices from this node."""
-        stack = [(path, self)]
+        stack = [((), self)]
         while stack:
             path, node = stack.pop()
             yield path, node
@@ -113,14 +113,12 @@ class DecompositionNode:
 
 def is_module(g: Graph, sub: Iterable) -> bool:
     """True iff every external vertex is adjacent to all of the set or none of it."""
-    xs = frozenset(sub)
-    for v in xs:
-        if not g.has_vertex(v):
-            raise DomainError(f"vertex {v!r} is not in the graph")
-    if len(xs) <= 1 or len(xs) == g.vertex_count:
-        return True
-    x = g.mask_of(xs)
-    return _close_seed(g.adjacency_masks(), (1 << g.vertex_count) - 1, x) == x
+    return _is_module(g, g.mask_of(sub))
+
+
+def _is_module(g: Graph, x: int) -> bool:
+    full = (1 << g.vertex_count) - 1
+    return not x & (x - 1) or x == full or _close_seed(g.adjacency_masks(), full, x) == x
 
 
 def _close_seed(masks: list[int], full: int, x: int, stop: int = 0) -> int:
@@ -146,14 +144,10 @@ def _close_seed(masks: list[int], full: int, x: int, stop: int = 0) -> int:
 
 def smallest_module(g: Graph, seed: Iterable) -> frozenset:
     """The inclusion-minimal module containing the seed vertices."""
-    xs = frozenset(seed)
-    if not xs:
+    x = g.mask_of(seed)
+    if not x:
         raise DomainError("seed must contain at least one vertex")
-    for v in xs:
-        if not g.has_vertex(v):
-            raise DomainError(f"vertex {v!r} is not in the graph")
-    full = (1 << g.vertex_count) - 1
-    return g.unmask(_close_seed(g.adjacency_masks(), full, g.mask_of(xs)))
+    return g.unmask(_close_seed(g.adjacency_masks(), (1 << g.vertex_count) - 1, x))
 
 
 def _prime_parts(masks: list[int], x: int, shuffle: random.Random | None) -> list[int]:
@@ -303,19 +297,22 @@ def maximal_strong_partition(g: Graph, *, shuffle: random.Random | None = None) 
 
 def quotient(g: Graph, partition) -> Graph:
     """Graph on one representative (smallest vertex) per part of a module partition."""
-    parts = [frozenset(p) for p in partition]
-    seen: set = set()
+    try:
+        parts = [g.mask_of(p) for p in partition]
+    except TypeError:
+        raise DomainError(f"{partition!r} is not a partition into vertex sets") from None
+    seen = 0
     for p in parts:
         if not p:
             raise DomainError("empty part in partition")
         if p & seen:
             raise DomainError("parts are not disjoint")
         seen |= p
-        if not is_module(g, p):
-            raise DomainError(f"part {sorted(p)!r} is not a module")
-    if len(seen) != g.vertex_count:
+        if not _is_module(g, p):
+            raise DomainError(f"part {g.vertex_list(p)!r} is not a module")
+    if seen != (1 << g.vertex_count) - 1:
         raise DomainError("parts do not cover the vertex set")
-    reps = [min(p) for p in parts]
+    reps = [g.vertices[(p & -p).bit_length() - 1] for p in parts]
     edges = [
         (u, v)
         for u, v in combinations(reps, 2)
@@ -467,10 +464,7 @@ def is_strong_module(g: Graph, sub: Iterable) -> bool:
     (plus the trivial sets); tests verify this against the brute-force
     definition.
     """
-    xs = frozenset(sub)
-    if not is_module(g, xs):  # also refuses vertices outside the graph
-        return False
-    if len(xs) <= 1 or len(xs) == g.vertex_count:
+    x = g.mask_of(sub)
+    if not x & (x - 1) or x == (1 << g.vertex_count) - 1:
         return True
-    x = g.mask_of(xs)
-    return any(split[0] == x for split in _split(g))
+    return _is_module(g, x) and any(split[0] == x for split in _split(g))

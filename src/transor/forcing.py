@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .decomposition import SERIES, _upper
 from .errors import DomainError, InvariantError
-from .graph import Graph, spanned_vertices
+from .graph import Graph, _pair, spanned_vertices
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,12 @@ class ColorMap:
         ``DomainError`` unless uv is an edge of the graph; a string is no pair."""
         if v is None:
             u, v = _pair(u)
-        cid = self.edge_to_color.get((u, v))
-        if cid is None:
-            cid = self.edge_to_color.get((v, u))
+        try:
+            cid = self.edge_to_color.get((u, v))
+            if cid is None:
+                cid = self.edge_to_color.get((v, u))
+        except TypeError:  # an unhashable token
+            cid = None
         if cid is None:
             raise DomainError(f"({u!r}, {v!r}) is not an edge of the graph")
         return cid
@@ -100,15 +103,6 @@ def directly_forces(e1: tuple, e2: tuple, g: Graph) -> bool:
     if b == b2:
         return not g.has_edge(a, a2)
     return False
-
-
-def _pair(pair, name: str = "pair of vertices") -> tuple:
-    # The two items of a pair; a string is no pair, though it may unpack as one.
-    try:
-        u, v = () if isinstance(pair, (str, bytes)) else pair
-    except (TypeError, ValueError):
-        raise DomainError(f"{pair!r} is not a {name}") from None
-    return u, v
 
 
 def _edge_classes(masks: list[int], x: int) -> tuple[dict, list[int], dict]:

@@ -19,7 +19,7 @@ class Graph:
     and safe to share between threads.  ``edges``, ``sorted_edges`` and
     ``edge_count`` are read off the masks per call.  Self-loops are rejected;
     duplicate edges collapse silently (parsers count them as edge lines past
-    ``edge_count``)."""
+    ``edge_count``).  An edge is any two-item iterable: ``"ab"`` is the edge ab."""
 
     __slots__ = ("vertices", "index", "_masks")
 
@@ -30,15 +30,18 @@ class Graph:
             raise DomainError("vertex tokens must share a total order") from None
         index = {v: i for i, v in enumerate(vs)}
         masks = [0] * len(vs)
-        for u, v in edges:
-            if u == v:
-                raise DomainError(f"self-loop at vertex {u!r}")
-            i, j = index.get(u), index.get(v)
-            if i is None or j is None:
-                missing = u if i is None else v
-                raise DomainError(f"edge endpoint {missing!r} is not a declared vertex")
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
+        try:  # around the loop, not per edge: parsing builds every graph
+            for u, v in edges:
+                if u == v:
+                    raise DomainError(f"self-loop at vertex {u!r}")
+                i, j = index.get(u), index.get(v)
+                if i is None or j is None:
+                    missing = u if i is None else v
+                    raise DomainError(f"edge endpoint {missing!r} is not a declared vertex")
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+        except (TypeError, ValueError):  # an edge of other than two items, or an unhashable end
+            raise DomainError("each edge must be a pair of vertices") from None
         self.vertices = tuple(vs)
         self.index = index
         self._masks = masks
@@ -56,27 +59,29 @@ class Graph:
     def edge_count(self) -> int:
         return sum(map(int.bit_count, self._masks)) // 2
 
+    def _at(self, v) -> int:
+        # The index of a vertex; the one check of a token from outside.
+        try:
+            return self.index[v]
+        except (KeyError, TypeError):  # TypeError: an unhashable token
+            raise DomainError(f"unknown vertex {v!r}") from None
+
     def has_vertex(self, v) -> bool:
-        return v in self.index
+        try:
+            return v in self.index
+        except TypeError:  # an unhashable token
+            return False
 
     def has_edge(self, u, v) -> bool:
         """True iff uv is an edge.  Unknown vertices are a domain error."""
-        index = self.index
-        try:
-            return self._masks[index[u]] >> index[v] & 1 == 1
-        except KeyError:
-            missing = u if u not in index else v
-            raise DomainError(f"unknown vertex {missing!r}") from None
+        return self._masks[self._at(u)] >> self._at(v) & 1 == 1
 
     def neighbors(self, v) -> frozenset:
-        try:
-            return self.unmask(self._masks[self.index[v]])
-        except KeyError:
-            raise DomainError(f"unknown vertex {v!r}") from None
+        return self.unmask(self._masks[self._at(v)])
 
     def edge_key(self, u, v) -> tuple:
         """Canonical (smaller, larger) form of an edge, by vertex order."""
-        return (u, v) if self.index[u] < self.index[v] else (v, u)
+        return (u, v) if self._at(u) < self._at(v) else (v, u)
 
     def sorted_edges(self) -> list[tuple]:
         vs, out = self.vertices, []
@@ -92,9 +97,14 @@ class Graph:
         return self._masks
 
     def mask_of(self, sub: Iterable) -> int:
+        """The mask of a set of vertices; ``DomainError`` unless it is one."""
+        try:
+            sub = iter(sub)
+        except TypeError:
+            raise DomainError(f"{sub!r} is not a set of vertices") from None
         m = 0
         for v in sub:
-            m |= 1 << self.index[v]
+            m |= 1 << self._at(v)
         return m
 
     def unmask(self, mask: int) -> frozenset:
@@ -122,10 +132,7 @@ class Graph:
 
 def induced_subgraph(g: Graph, sub: Iterable) -> Graph:
     """Subgraph on a vertex subset, keeping exactly the edges with both ends inside."""
-    xs = frozenset(sub)
-    for v in xs:
-        if not g.has_vertex(v):
-            raise DomainError(f"vertex {v!r} is not in the graph")
+    xs = g.unmask(g.mask_of(sub))
     return Graph(xs, [(u, v) for u, v in g.sorted_edges() if u in xs and v in xs])
 
 
@@ -158,6 +165,15 @@ def connected_components(g: Graph) -> list[frozenset]:
     """Maximal connected vertex sets, ordered by their smallest member."""
     full = (1 << g.vertex_count) - 1
     return [g.unmask(c) for c in mask_components(g.adjacency_masks(), full)]
+
+
+def _pair(pair, name: str = "pair of vertices") -> tuple:
+    # The two items of a pair; a string is no pair, though it may unpack as one.
+    try:
+        u, v = () if isinstance(pair, (str, bytes)) else pair
+    except (TypeError, ValueError):
+        raise DomainError(f"{pair!r} is not a {name}") from None
+    return u, v
 
 
 def spanned_vertices(edge_set: Iterable) -> frozenset:

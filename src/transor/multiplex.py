@@ -129,15 +129,14 @@ def simplex_extension_exists(g: Graph, m: Multiplex, a, cmap: ColorMap | None = 
     True iff the vertex reaches the span through at least two distinct colors
     that the multiplex does not already contain.
     """
-    if not g.has_vertex(a):
-        raise DomainError(f"vertex {a!r} is not in the graph")
+    around = g.neighbors(a)  # DomainError unless a is a vertex
     if a in m.span:
         raise DomainError(f"vertex {a!r} lies inside the multiplex span")
     if cmap is None:
         cmap = color_classes(g)
     _check_map(g, cmap)
     fresh: set[int] = set()
-    for b in g.neighbors(a):
+    for b in around:
         if b in m.span:
             cid = cmap.color_of(a, b)
             if cid not in m.colors:

@@ -19,8 +19,8 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 from .decomposition import PARALLEL, PRIME, SERIES, _blocks, _check_shuffle, _split, _upper
 from .errors import DomainError, InvariantError
-from .forcing import _bits, _edge_classes, _pair
-from .graph import Graph
+from .forcing import _bits, _edge_classes
+from .graph import Graph, _pair
 
 
 @dataclass(init=False, unsafe_hash=True)
@@ -47,10 +47,13 @@ class Orientation:
         return Orientation, (self.directed,)
 
     def direction_of(self, u, v) -> tuple:
-        if (u, v) in self.directed:
-            return (u, v)
-        if (v, u) in self.directed:
-            return (v, u)
+        try:
+            if (u, v) in self.directed:
+                return (u, v)
+            if (v, u) in self.directed:
+                return (v, u)
+        except TypeError:  # an unhashable token
+            pass
         raise DomainError(f"edge {u!r},{v!r} is not oriented here")
 
     def sorted_pairs(self) -> list[tuple]:
@@ -93,11 +96,11 @@ def _read_pairs(g: Graph, pairs: Iterable) -> tuple[frozenset, bool]:
             raise DomainError(f"{pair!r} is listed twice")
         directed.add((tail, head))
     directed = frozenset(directed)
-    return directed, _witness(g, directed, DomainError)
+    return directed, _witness(g, directed)
 
 
-def _witness(g: Graph, pairs: Collection, error: type[Exception]) -> bool:
-    # Raise ``error`` unless the (tail, head) pairs orient every edge of g
+def _witness(g: Graph, pairs: Collection) -> bool:
+    # Raise ``DomainError`` unless the (tail, head) pairs orient every edge of g
     # exactly once: per vertex, out- and in-neighbour masks are disjoint and
     # together its adjacency mask.  Then transitive iff succ[h] lies within
     # succ[t] for every pair t->h, read from the pairs a second time.
@@ -110,11 +113,11 @@ def _witness(g: Graph, pairs: Collection, error: type[Exception]) -> bool:
             succ[i] |= 1 << j
             pred[j] |= 1 << i
     except KeyError:
-        raise error(f"({t!r},{h!r}) is not an edge of the graph") from None
+        raise DomainError(f"({t!r},{h!r}) is not an edge of the graph") from None
     except (TypeError, ValueError):
-        raise error("orientation pairs must be (tail, head) pairs") from None
+        raise DomainError("orientation pairs must be (tail, head) pairs") from None
     if any(s & p or s | p != m for s, p, m in zip(succ, pred, g.adjacency_masks())):
-        raise error("orientation does not cover each edge exactly once")
+        raise DomainError("orientation does not cover each edge exactly once")
     return all(not succ[index[h]] & ~succ[index[t]] for t, h in pairs)
 
 
@@ -124,7 +127,7 @@ def is_transitive(g: Graph, o: Orientation) -> bool:
     ``DomainError`` unless ``o`` orients every edge of g exactly once."""
     if any(isinstance(pair, (str, bytes)) for pair in o.directed):
         raise DomainError("orientation pairs must be (tail, head) pairs")
-    return _witness(g, o.directed, DomainError)
+    return _witness(g, o.directed)
 
 
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")

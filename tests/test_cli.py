@@ -13,7 +13,7 @@ import pytest
 from transor import decomposition, decomposition_tree, orientation
 from transor.cli import main
 from transor.io import parse_graph
-from transor.oracle import path_graph
+from transor.oracle import acceptance_corpus, path_graph
 
 from checks import balanced_cograph, substitution_graph, threshold_graph
 
@@ -92,6 +92,35 @@ def test_dot_labels_are_quoted_strings(write, capsys):
         if kind == "leaf":
             leaves.append(members[1:-1])
     assert sorted(leaves) == sorted(names)
+
+
+def _two_walk_dot(tree) -> str:
+    # The DOT renderer as first written, kept as the reference: one walk
+    # names each node by its path, a second writes each node's arcs.
+    lines = ["digraph decomposition {", "  node [shape=box];"]
+    names = {}
+    for i, (path, node) in enumerate(tree.walk_with_paths()):
+        names[path] = f"n{i}"
+        label = node.kind
+        if node.kind in ("series", "prime"):
+            label += f" rank={len(node.children) - 1 if node.kind == 'series' else 1}"
+        members = ",".join(str(v) for v in sorted(node.vertex_set))
+        label += "\\n{" + members.replace("\\", "\\\\").replace('"', '\\"') + "}"
+        lines.append(f'  n{i} [label="{label}"];')
+    for path, node in tree.walk_with_paths():
+        for i in range(len(node.children)):
+            lines.append(f"  {names[path]} -> {names[path + (i,)]};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def test_dot_matches_the_two_walk_renderer(write, capsys):
+    graphs = [g for _, g in acceptance_corpus() if g.vertex_count] + [threshold_graph(400)]  # depth 399
+    for k, g in enumerate(graphs):
+        text = "".join(f"vertex {v}\n" for v in g.vertices) + "".join(f"{u} {v}\n" for u, v in g.sorted_edges())
+        code, dot, _ = run(capsys, "decompose", "--dot", write(f"g{k}.edges", text))
+        assert code == 0
+        assert dot == _two_walk_dot(decomposition_tree(parse_graph(text).graph)) + "\n", k
 
 
 def test_count_prints_past_the_int_to_str_digit_limit(write):

@@ -10,9 +10,19 @@ from hypothesis import given, strategies as st
 from transor import (
     DomainError,
     Graph,
+    Orientation,
+    color_classes,
+    color_multiplex,
     complement,
     connected_components,
+    directly_forces,
+    enumerate_orientations,
     induced_subgraph,
+    is_module,
+    is_strong_module,
+    quotient,
+    simplex_extension_exists,
+    smallest_module,
     spanned_vertices,
 )
 from transor.oracle import cycle_graph, complete_graph, fixtures, random_graph
@@ -188,3 +198,71 @@ def test_spanned_vertices_of_paw_color():
     paw = fixtures()["paw"]
     big = color_classes(paw).colors[0]
     assert spanned_vertices(big.undirected) == frozenset("abcd")
+
+
+def _entry_points() -> dict:
+    # Each public call that takes vertices or pairs from its caller, on the
+    # paw, as a function of the one argument a probe replaces.
+    paw = fixtures()["paw"]
+    cmap = color_classes(paw)
+    bc = color_multiplex(paw, cmap, cmap.color_of("b", "c"))
+    first = next(enumerate_orientations(paw))
+    return {
+        "Graph": lambda e: Graph("abcd", [e]),
+        "mask_of": paw.mask_of,
+        "edge_key": lambda v: paw.edge_key(v, "a"),
+        "has_vertex": paw.has_vertex,
+        "has_edge": lambda v: paw.has_edge(v, "a"),
+        "neighbors": paw.neighbors,
+        "is_module": lambda s: is_module(paw, s),
+        "smallest_module": lambda s: smallest_module(paw, s),
+        "is_strong_module": lambda s: is_strong_module(paw, s),
+        "induced_subgraph": lambda s: induced_subgraph(paw, s),
+        "quotient": lambda s: quotient(paw, [s]),
+        "quotient partition": lambda p: quotient(paw, p),
+        "color_of": cmap.color_of,
+        "directly_forces": lambda e: directly_forces(e, ("a", "c"), paw),
+        "direction_of": lambda v: first.direction_of(v, "a"),
+        "simplex_extension_exists": lambda v: simplex_extension_exists(paw, bc, v, cmap),
+        "from_pairs": lambda e: Orientation.from_pairs(paw, [e]),
+    }
+
+
+_TOKENS = ["z", ["a"]]
+_SETS = [["z"], [["a"]], 5]
+_PAIRS = ["ab", ("a",), ("a", "b", "c"), 5, (["a"], "b")]
+_PROBES = (
+    [("Graph", e) for e in _PAIRS]
+    + [("mask_of", s) for s in _SETS]
+    + [(name, v) for name in ("edge_key", "has_vertex", "has_edge", "neighbors") for v in _TOKENS]
+    + [(name, s) for name in ("is_module", "smallest_module", "is_strong_module", "induced_subgraph") for s in _SETS]
+    + [("quotient", s) for s in _SETS]
+    + [("quotient partition", 5)]
+    + [(name, e) for name in ("color_of", "directly_forces", "from_pairs") for e in _PAIRS]
+    + [(name, v) for name in ("direction_of", "simplex_extension_exists") for v in _TOKENS]
+)
+_ANSWERS = {  # the probes that are no error; every other one is a DomainError
+    ("Graph", "'ab'"): Graph("abcd", [("a", "b")]),  # a two-character string is an edge
+    ("has_vertex", "'z'"): False,
+    ("has_vertex", "['a']"): False,
+}
+
+
+@pytest.mark.parametrize("name, arg", _PROBES, ids=[f"{name}-{arg!r}" for name, arg in _PROBES])
+def test_bad_input_is_a_domain_error_at_every_entry_point(name, arg):
+    call = _entry_points()[name]
+    key = (name, repr(arg))
+    if key in _ANSWERS:
+        assert call(arg) == _ANSWERS[key]
+    else:
+        with pytest.raises(DomainError):
+            call(arg)
+
+
+def test_an_unknown_vertex_has_one_message():
+    paw = fixtures()["paw"]
+    for call in (paw.mask_of, lambda v: is_module(paw, v), lambda v: quotient(paw, [v, "abcd"])):
+        with pytest.raises(DomainError, match=r"^unknown vertex 'z'$"):
+            call(["z"])
+        with pytest.raises(DomainError, match=r"^unknown vertex \['a'\]$"):
+            call([["a"]])
