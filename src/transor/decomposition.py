@@ -53,6 +53,11 @@ class DecompositionNode:
     def __hash__(self) -> int:
         return hash((self.vertex_set, self.kind))  # equal nodes agree on both
 
+    def __getstate__(self) -> dict:
+        # The fields alone: a pickle or copy of a root leaves its graph and
+        # split list behind, so ``multiplex_partition`` refuses it.
+        return {k: v for k, v in self.__dict__.items() if k != "_source"}
+
     def __repr__(self) -> str:
         # The dataclass-generated format, without one nested call per level.
         return self._render(
@@ -378,8 +383,9 @@ def decomposition_tree(g: Graph, *, shuffle: random.Random | None = None) -> Dec
     """Decomposition into strong modules, deterministic child order.
 
     Assembles the nodes bottom-up from ``_split``'s pre-order masks: no
-    recursion and no graph per level.  ``DomainError`` unless ``shuffle`` is
-    None or a ``random.Random``."""
+    recursion and no graph per level.  The root keeps g and those masks,
+    which ``multiplex_partition`` reads.  ``DomainError`` unless ``shuffle``
+    is None or a ``random.Random``."""
     _check_shuffle(shuffle)
     if g.vertex_count == 0:
         raise DomainError("cannot decompose an empty vertex set")
@@ -391,46 +397,23 @@ def decomposition_tree(g: Graph, *, shuffle: random.Random | None = None) -> Dec
         return DecompositionNode(frozenset((vs[p.bit_length() - 1],)), LEAF, ())
 
     built: dict[int, DecompositionNode] = {}
-    for x, kind, parts in reversed(_split(g, shuffle)):
+    splits = _split(g, shuffle)
+    for x, kind, parts in reversed(splits):
         children = tuple(map(node, parts))
         built[x] = DecompositionNode(frozenset().union(*(c.vertex_set for c in children)), kind, children)
-    return node((1 << g.vertex_count) - 1)  # the root: split first, assembled last
+    root = node((1 << g.vertex_count) - 1)  # the root: split first, assembled last
+    object.__setattr__(root, "_source", (g, splits))  # no field: ==, hash, repr and pickling skip it
+    return root
 
 
-def _tree_splits(g: Graph, tree: DecompositionNode) -> list:
-    """``_split``'s list for a given tree, proved by the same cover walk.
-
-    Each node's mask is built bottom-up from its leaves, then ``_below``
-    checks the nodes top-down, so a hand-built tree that does not fit the
-    graph is refused as a faulty split would be."""
-    index = g.index
-    mask: dict = {}  # id(node) -> its vertex mask
-    splits = []
-    for node in reversed(list(tree.walk())):  # every child before its parent
-        if node.children:
-            parts = [mask[id(c)] for c in node.children]
-            x = 0
-            for p in parts:
-                x |= p
-            if not x & (x - 1):
-                raise InvariantError("a node of one vertex has children")
-            splits.append((x, node.kind, parts))
-        elif len(node.vertex_set) != 1:
-            raise InvariantError("a leaf is not one vertex")
-        else:
-            (v,) = node.vertex_set
-            if v not in index:
-                raise InvariantError("edge endpoint missing from the tree")
-            x = 1 << index[v]
-        mask[id(node)] = x
-    if x != (1 << g.vertex_count) - 1:  # x is the root's mask
-        raise InvariantError("edge endpoint missing from the tree")
-    splits.reverse()
-    masks = g.adjacency_masks()
-    wants = {x: 0}
-    for x, kind, parts in splits:
-        wants.update(_below(masks, x, kind, parts, wants.pop(x)))
-    return splits
+def _splits_of(g: Graph, tree) -> list:
+    # The split list ``decomposition_tree`` assembled ``tree`` from, when
+    # that was g or a graph equal to it; any other tree, a hand-built copy
+    # or a subtree included, is a domain error.
+    source = getattr(tree, "_source", None) if isinstance(tree, DecompositionNode) else None
+    if source is None or (source[0] is not g and source[0] != g):
+        raise DomainError("the tree is not one that decomposition_tree returned for this graph")
+    return source[1]
 
 
 def _blocks(masks: list[int], kind: str, parts: list[int]) -> list[tuple[int, int]]:

@@ -25,6 +25,10 @@ class Graph:
 
     def __init__(self, vertices: Iterable, edges: Iterable[tuple] = ()):
         try:
+            vertices = iter(vertices)
+        except TypeError:
+            raise DomainError(f"{vertices!r} is not a collection of vertices") from None
+        try:
             vs = sorted(set(vertices))
         except TypeError:
             raise DomainError("vertex tokens must share a total order") from None

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import PARALLEL, SERIES, DecompositionNode, _blocks, _tree_splits, is_strong_module
-from .errors import DomainError
+from .decomposition import PARALLEL, SERIES, DecompositionNode, _blocks, _splits_of, is_strong_module
+from .errors import DomainError, InvariantError
 from .forcing import ColorClass, ColorMap, color_classes
 from .graph import Graph
 
@@ -49,9 +49,12 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
     A joined child block of a series node is one color, and so are all the
     blocks of a prime node (Gallai 1967), so each such color is read once,
     at its representatives' edge; a node whose children are all single
-    vertices reads each edge, one block apiece.  ``DomainError`` when
-    ``cmap`` is the color map of another graph.
+    vertices reads each edge, one block apiece.  The node masks are the ones
+    ``tree`` was assembled from.  ``DomainError`` unless ``tree`` is the
+    tree ``decomposition_tree`` returned for g or for a graph equal to it,
+    and when ``cmap`` is the color map of another graph.
     """
+    splits = _splits_of(g, tree)
     if cmap is None:
         cmap = color_classes(g)
     _check_map(g, cmap)
@@ -59,7 +62,7 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
     vs, masks = g.vertices, g.adjacency_masks()
     paths = [()]  # the paths of the internal nodes still to come, next on top
     result = []
-    for x, kind, parts in _tree_splits(g, tree):
+    for x, kind, parts in splits:
         path = paths.pop()
         paths += [path + (i,) for i in range(len(parts) - 1, -1, -1) if parts[i] & (parts[i] - 1)]
         if kind == PARALLEL:
@@ -67,16 +70,14 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
         members = [g.vertex_list(p) if p & (p - 1) else [vs[p.bit_length() - 1]] for p in parts]
         blocks = _blocks(masks, kind, parts)
         edges = frozenset([(u, v) if u < v else (v, u) for i, j in blocks for u in members[i] for v in members[j]])
-        colors = None
         if x.bit_count() > len(parts):  # some block has several edges
             reps = [(members[i][0], members[j][0]) for i, j in (blocks if kind == SERIES else blocks[:1])]
             colors = frozenset([edge_color[e if e[0] < e[1] else (e[1], e[0])] for e in reps])
-            # The colors of the node's edges lie among them (its children are
-            # modules), so they are all read when their sizes add up.  They
-            # do not on a hand-built tree whose nodes are not all strong.
+            # The children are strong modules, so these are all the node's
+            # colors (Gallai 1967), and their sizes add up to its edges.
             if sum(_size(cmap.colors[c]) for c in colors) != len(edges):
-                colors = None
-        if colors is None:
+                raise InvariantError("the colors of a node's blocks do not add up to its edges")
+        else:
             colors = frozenset(map(edge_color.__getitem__, edges))
         result.append(
             Multiplex(
@@ -95,7 +96,14 @@ def _size(color: ColorClass) -> int:
     return len(color.forward) >> color.self_inverse
 
 
+def _check_multiplex(m: Multiplex) -> None:
+    if not isinstance(m, Multiplex):
+        raise DomainError(f"multiplex {m!r} is not a Multiplex")
+
+
 def _check_map(g: Graph, cmap: ColorMap) -> None:
+    if not isinstance(cmap, ColorMap):
+        raise DomainError(f"color map {cmap!r} is not a ColorMap")
     if cmap.graph is not g and cmap.graph != g:
         raise DomainError("the color map is of another graph")
 
@@ -120,6 +128,7 @@ def color_multiplex(g: Graph, cmap: ColorMap, color_id: int) -> Multiplex:
 
 def is_maximal_multiplex(g: Graph, m: Multiplex) -> bool:
     """A multiplex is maximal exactly when its span is a strong module."""
+    _check_multiplex(m)
     return is_strong_module(g, m.span)
 
 
@@ -129,6 +138,7 @@ def simplex_extension_exists(g: Graph, m: Multiplex, a, cmap: ColorMap | None = 
     True iff the vertex reaches the span through at least two distinct colors
     that the multiplex does not already contain.
     """
+    _check_multiplex(m)
     around = g.neighbors(a)  # DomainError unless a is a vertex
     if a in m.span:
         raise DomainError(f"vertex {a!r} lies inside the multiplex span")

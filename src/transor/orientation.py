@@ -125,6 +125,8 @@ def is_transitive(g: Graph, o: Orientation) -> bool:
     """True iff every directed path x->y->z closes with the edge x->z.
 
     ``DomainError`` unless ``o`` orients every edge of g exactly once."""
+    if not isinstance(o, Orientation):
+        raise DomainError(f"orientation {o!r} is not an Orientation")
     if any(isinstance(pair, (str, bytes)) for pair in o.directed):
         raise DomainError("orientation pairs must be (tail, head) pairs")
     return _witness(g, o.directed)

@@ -24,7 +24,7 @@ from transor import (
     smallest_module,
 )
 from transor import decomposition
-from transor.decomposition import LEAF, PARALLEL, PRIME, SERIES, DecompositionNode
+from transor.decomposition import LEAF, PARALLEL, PRIME, SERIES
 from transor.forcing import color_classes
 from transor.oracle import closure_strong_partition, fixtures, path_graph, random_graph
 
@@ -295,32 +295,12 @@ def test_a_pivot_module_that_closes_to_the_node_is_an_invariant_error(fx, monkey
             verb(fx["p4"])
 
 
-def _leaf(v) -> DecompositionNode:
-    return DecompositionNode(frozenset((v,)), LEAF, ())
-
-
-def _node(kind: str, *children: DecompositionNode) -> DecompositionNode:
-    return DecompositionNode(frozenset().union(*(c.vertex_set for c in children)), kind, children)
-
-
-def test_hand_built_trees_that_do_not_fit_the_graph_are_refused():
-    # ``multiplex_partition`` takes any tree; the cover walk that proves a
-    # split refuses the ones whose nodes are no modules of the kind they say.
-    p3 = Graph("abc", [("a", "b"), ("b", "c")])
-    a, b, c, d = map(_leaf, "abcd")
-    cases = [
-        (p3, _node(PARALLEL, a, _node(SERIES, b, c)), "a quotient non-edge lifts to an edge"),  # a-b crosses
-        (p3, _node(SERIES, a, _node(SERIES, b, c)), "a quotient edge lifts to a non-edge"),  # a-c missing
-        (fixtures()["p4"], _node(PRIME, a, _node(SERIES, b, c), d), "a quotient edge lifts to a non-edge"),  # a-c missing
-        (p3, _node(SERIES, _node(SERIES, a, b), a, c), "strong parts overlap"),
-        (Graph("ab"), _node(PRIME, a, b), "prime node received no crossing edges"),
-        (Graph("ab", [("a", "b")]), _node(SERIES, _node(SERIES, a, b)), "series node received no crossing edges"),
-        (p3, _node(SERIES, b, _node(PARALLEL, _node(SERIES, a), c)), "a node of one vertex has children"),
-    ]
-    for g, tree, message in cases:
-        with pytest.raises(InvariantError, match=message):
-            multiplex_partition(g, tree)
-    assert [m.rank for m in multiplex_partition(p3, _node(SERIES, b, _node(PARALLEL, a, c)))] == [1]
+@pytest.mark.parametrize("kind, parts", [(SERIES, [0b11]), (PRIME, [0b01, 0b10])], ids=[SERIES, PRIME])
+def test_a_node_with_no_joined_blocks_is_an_invariant_error(kind, parts):
+    # An edgeless pair: one part holding both vertices under a series node,
+    # two parts with non-adjacent representatives under a prime node.
+    with pytest.raises(InvariantError, match=f"{kind} node received no crossing edges"):
+        decomposition._blocks(Graph("ab").adjacency_masks(), kind, parts)
 
 
 @pytest.mark.parametrize("g", [checks.threshold_graph(200), checks.balanced_cograph(6)], ids=["threshold-200", "cograph-64"])

@@ -15,11 +15,15 @@ from transor import (
     color_multiplex,
     complement,
     connected_components,
+    decomposition_tree,
     directly_forces,
     enumerate_orientations,
     induced_subgraph,
+    is_maximal_multiplex,
     is_module,
     is_strong_module,
+    is_transitive,
+    multiplex_partition,
     quotient,
     simplex_extension_exists,
     smallest_module,
@@ -257,6 +261,31 @@ def test_bad_input_is_a_domain_error_at_every_entry_point(name, arg):
     else:
         with pytest.raises(DomainError):
             call(arg)
+
+
+def _wrong_types() -> list:
+    # Each library object a call takes, replaced by an int.
+    paw = fixtures()["paw"]
+    cmap = color_classes(paw)
+    bc = color_multiplex(paw, cmap, cmap.color_of("b", "c"))
+    not_a_map, not_a_multiplex = r"^color map 5 is not a ColorMap$", r"^multiplex 5 is not a Multiplex$"
+    cases = {
+        "multiplex_partition-cmap": (lambda: multiplex_partition(paw, decomposition_tree(paw), 5), not_a_map),
+        "color_multiplex-cmap": (lambda: color_multiplex(paw, 5, 0), not_a_map),
+        "simplex_extension_exists-cmap": (lambda: simplex_extension_exists(paw, bc, "a", 5), not_a_map),
+        "simplex_extension_exists-m": (lambda: simplex_extension_exists(paw, 5, "a"), not_a_multiplex),
+        "is_maximal_multiplex-m": (lambda: is_maximal_multiplex(paw, 5), not_a_multiplex),
+        "is_transitive-o": (lambda: is_transitive(paw, 5), r"^orientation 5 is not an Orientation$"),
+        "Graph-vertices": (lambda: Graph(5), r"^5 is not a collection of vertices$"),
+        "multiplex_partition-tree": (lambda: multiplex_partition(paw, 5), r"^the tree is not one that decomposition_tree"),
+    }
+    return [pytest.param(call, message, id=name) for name, (call, message) in cases.items()]
+
+
+@pytest.mark.parametrize("call, message", _wrong_types())
+def test_a_library_object_of_the_wrong_type_is_a_domain_error_that_names_it(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def test_an_unknown_vertex_has_one_message():

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import copy
+import pickle
+from fractions import Fraction
+
 import pytest
 
 from transor import (
     DomainError,
     Graph,
+    InvariantError,
     color_classes,
     color_multiplex,
     decomposition_tree,
@@ -12,8 +17,9 @@ from transor import (
     multiplex_partition,
     simplex_extension_exists,
 )
-from transor.decomposition import LEAF, PRIME, SERIES, DecompositionNode
-from transor.oracle import fixtures
+from transor import decomposition, multiplex
+from transor.decomposition import LEAF, PARALLEL, PRIME, SERIES, DecompositionNode
+from transor.oracle import acceptance_corpus, complete_graph, fixtures
 
 import checks
 
@@ -144,20 +150,96 @@ def test_a_color_map_of_another_graph_is_a_domain_error(fx):
     assert multiplex_partition(twin, decomposition_tree(twin), pmap) == multiplex_partition(paw, decomposition_tree(paw))
 
 
+def _leaf(v) -> DecompositionNode:
+    return DecompositionNode(frozenset((v,)), LEAF, ())
+
+
 def _node(kind, *children):
     return DecompositionNode(frozenset().union(*(c.vertex_set for c in children)), kind, children)
 
 
-def test_a_hand_built_tree_whose_blocks_hold_several_colors_reads_every_edge(fx):
-    # The cover walk accepts these trees, whose inner nodes are modules but
-    # not strong: K3's block ({a}, {b, c}) and K4's ({a}, {b, c, d}) hold a
-    # color per edge, and each multiplex lists them all.
-    a, b, c, d = (DecompositionNode(frozenset(v), LEAF, ()) for v in "abcd")
-    cases = [
-        (fx["k3"], _node(SERIES, a, _node(SERIES, b, c)), [("ab", "ac"), ("bc",)]),
-        (fx["k4"], _node(PRIME, a, _node(SERIES, b, c, d)), [("ab", "ac", "ad"), ("bc", "bd", "cd")]),
-    ]
-    for g, tree, edges in cases:
-        cmap = color_classes(g)
-        parts = multiplex_partition(g, tree, cmap)
-        assert [m.colors for m in parts] == [{cmap.color_of(tuple(e)) for e in node} for node in edges]
+def _refused_trees() -> list:
+    # Trees that ``decomposition_tree`` did not return for the graph given
+    # with them.  The first eight are hand-built trees of which the cover
+    # walk refused seven and accepted the last; K3's and K4's nodes are
+    # modules but not strong.  The substitution tree equals the graph's own.
+    fx = fixtures()
+    p3, paw = Graph("abc", [("a", "b"), ("b", "c")]), fx["paw"]
+    a, b, c, d = map(_leaf, "abcd")
+    sub, built, _ = checks.substitution_graph(300, 5)
+    cases = {
+        "p3-parallel-root": (p3, _node(PARALLEL, a, _node(SERIES, b, c))),
+        "p3-series-a-bc": (p3, _node(SERIES, a, _node(SERIES, b, c))),
+        "p4-prime-a-bc-d": (fx["p4"], _node(PRIME, a, _node(SERIES, b, c), d)),
+        "p3-overlapping": (p3, _node(SERIES, _node(SERIES, a, b), a, c)),
+        "edgeless-pair-prime": (Graph("ab"), _node(PRIME, a, b)),
+        "edge-series-one-child": (Graph("ab", [("a", "b")]), _node(SERIES, _node(SERIES, a, b))),
+        "p3-one-vertex-node": (p3, _node(SERIES, b, _node(PARALLEL, _node(SERIES, a), c))),
+        "p3-fitting": (p3, _node(SERIES, b, _node(PARALLEL, a, c))),
+        "k3-series-a-bc": (fx["k3"], _node(SERIES, a, _node(SERIES, b, c))),
+        "k4-prime-a-bcd": (fx["k4"], _node(PRIME, a, _node(SERIES, b, c, d))),
+        "substitution-by-construction": (sub, built),
+        "paw-subtree": (paw, decomposition_tree(paw).children[1]),
+        "another-graph": (p3, decomposition_tree(Graph("abcd", [("a", "b"), ("b", "c")]))),
+        "an-int": (paw, 5),
+    }
+    return [pytest.param(g, tree, id=name) for name, (g, tree) in cases.items()]
+
+
+@pytest.mark.parametrize("g, tree", _refused_trees())
+def test_a_tree_that_decomposition_tree_did_not_return_for_the_graph_is_a_domain_error(g, tree):
+    with pytest.raises(DomainError, match="not one that decomposition_tree returned for this graph"):
+        multiplex_partition(g, tree)
+
+
+def test_a_copy_equal_to_the_tree_is_refused_and_pickles_as_the_tree_does():
+    # The split list the root keeps is no field: equality, hashing, repr and
+    # pickling see the tree alone, and a copy or an unpickled tree has none.
+    g, built, _ = checks.substitution_graph(300, 5)
+    tree = decomposition_tree(g)
+    assert built == tree and hash(built) == hash(tree) and repr(built) == repr(tree)
+    assert pickle.dumps(built) == pickle.dumps(tree)
+    for other in (pickle.loads(pickle.dumps(tree)), copy.copy(tree), copy.deepcopy(tree)):
+        assert other == tree
+        with pytest.raises(DomainError, match="decomposition_tree returned"):
+            multiplex_partition(g, other)
+    twin = Graph(g.vertices, g.sorted_edges())  # equal, built apart
+    assert multiplex_partition(twin, tree) == multiplex_partition(g, tree)
+
+
+_READ_GRAPHS = [g for _, g in acceptance_corpus() if g.vertex_count] + [
+    complete_graph(24),
+    checks.threshold_graph(40),
+    checks.balanced_cograph(5),
+    checks.random_poset_graph(40, Fraction(1, 10), 1),
+]
+
+
+def test_the_partition_reads_the_split_the_tree_was_built_from(monkeypatch):
+    # Once the tree is built, no scan, prime split or cover walk runs again.
+    cases = [(g, decomposition_tree(g), color_classes(g)) for g in _READ_GRAPHS]
+    expected = [multiplex_partition(*case) for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the graph was split again")
+
+    for name in ("_below", "mask_components", "_prime_parts"):
+        monkeypatch.setattr(decomposition, name, refuse)
+    assert [multiplex_partition(*case) for case in cases] == expected
+
+
+def test_node_paths_follow_the_tree_pre_order():
+    for _, g in acceptance_corpus():
+        if g.vertex_count:
+            tree = decomposition_tree(g)
+            paths = [path for path, node in tree.walk_with_paths() if node.kind in (SERIES, PRIME)]
+            assert [m.node_path for m in multiplex_partition(g, tree)] == paths
+
+
+def test_colors_that_do_not_add_up_to_a_nodes_edges_are_an_invariant_error(fx, monkeypatch):
+    # The paw's root joins {a} to {b, c, d}: one color of three edges.
+    paw = fx["paw"]
+    tree, cmap = decomposition_tree(paw), color_classes(paw)
+    monkeypatch.setattr(multiplex, "_size", lambda color: 0)
+    with pytest.raises(InvariantError, match="the colors of a node's blocks do not add up to its edges"):
+        multiplex_partition(paw, tree, cmap)

@@ -24,12 +24,11 @@ from transor import (
     enumerate_orientations,
     is_comparability,
     is_transitive,
-    multiplex_partition,
     orientation_at,
     strong_modules_of_order,
 )
 from transor import cli, decomposition, forcing, orientation
-from transor.decomposition import LEAF, PRIME, SERIES, DecompositionNode, _split, _tree_splits
+from transor.decomposition import PRIME, SERIES, DecompositionNode
 from transor.errors import OracleScaleError
 from transor.oracle import acceptance_corpus, complete_graph, fixtures, random_graph
 
@@ -643,41 +642,6 @@ def test_count_and_check_build_no_orientation(fx, monkeypatch):
     assert [(count_orientations(g), is_comparability(g)) for g in graphs] == expected
     with pytest.raises(AssertionError, match="orientation built"):
         next(enumerate_orientations(fx["paw"]))
-
-
-def test_a_series_child_that_is_not_a_module_is_an_invariant_error():
-    # P3 a-b-c under a hand-built series root with children {a} and {b, c}:
-    # the representatives a and b are adjacent, but a and c are not.
-    p3 = Graph("abc", [("a", "b"), ("b", "c")])
-
-    def leaf(v):
-        return DecompositionNode(frozenset(v), LEAF, ())
-
-    bc = DecompositionNode(frozenset("bc"), SERIES, (leaf("b"), leaf("c")))
-    tree = DecompositionNode(frozenset("abc"), SERIES, (leaf("a"), bc))
-    with pytest.raises(InvariantError, match="a quotient edge lifts to a non-edge"):
-        _tree_splits(p3, tree)
-    with pytest.raises(InvariantError, match="a quotient edge lifts to a non-edge"):
-        multiplex_partition(p3, tree)
-
-
-def test_the_tree_adaptor_refuses_a_tree_that_does_not_fit_the_graph():
-    p3 = Graph("abc", [("a", "b"), ("b", "c")])
-    for other in (Graph("ab", [("a", "b")]), Graph("abcd", [("a", "b"), ("b", "c")])):
-        with pytest.raises(InvariantError, match="edge endpoint missing from the tree"):
-            _tree_splits(p3, decomposition_tree(other))
-    a, bc = (DecompositionNode(frozenset(v), LEAF, ()) for v in ("a", "bc"))
-    with pytest.raises(InvariantError, match="a leaf is not one vertex"):
-        _tree_splits(p3, DecompositionNode(frozenset("abc"), SERIES, (a, bc)))
-
-
-def test_the_tree_adaptor_gives_the_split_list():
-    for _, g in acceptance_corpus():
-        if g.vertex_count:
-            splits = _tree_splits(g, decomposition_tree(g))
-            assert splits == _split(g)
-            paths = [path for path, node in decomposition_tree(g).walk_with_paths() if node.kind in ("series", "prime")]
-            assert [m.node_path for m in multiplex_partition(g, decomposition_tree(g))] == paths
 
 
 def test_check_count_and_enumerate_build_no_tree_nodes(fx, monkeypatch):
