@@ -4,7 +4,9 @@ A module is a vertex set whose members look identical from outside: every
 external vertex is adjacent to all of it or none of it.  A strong module
 overlaps no other module, so the strong modules form a laminar family; the
 tree below records it, with each internal node tagged by the shape of its
-quotient (edgeless, complete, or indecomposable).
+quotient (edgeless, complete, or indecomposable).  A prime node is split by
+vertex-partition refinement, or, where the forcing labels of its topmost
+prime ancestor are at hand, by the one color that spans it.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import DomainError, InvariantError
-from .graph import Graph, mask_components
+from .graph import Graph, _check_graph, mask_components
 
 LEAF = "leaf"
 PARALLEL = "parallel"
@@ -30,7 +32,8 @@ class DecompositionNode:
     No quotient is stored: ``induced_subgraph(g, node.representatives)`` is
     one.  Equality is the tree as printed (vertex sets, kinds, children), so
     trees of two graphs with the same strong modules and kinds compare equal;
-    it, hashing and ``repr`` walk the tree on a stack, so any depth works.
+    it, hashing, ``repr``, pickling and copying walk the tree on a stack, so
+    any depth works.
     """
 
     vertex_set: frozenset
@@ -53,10 +56,11 @@ class DecompositionNode:
     def __hash__(self) -> int:
         return hash((self.vertex_set, self.kind))  # equal nodes agree on both
 
-    def __getstate__(self) -> dict:
-        # The fields alone: a pickle or copy of a root leaves its graph and
+    def __reduce__(self) -> tuple:
+        # The fields alone, as a flat pre-order list, so pickling and copying
+        # take any depth; a pickle or copy of a root leaves its graph and
         # split list behind, so ``multiplex_partition`` refuses it.
-        return {k: v for k, v in self.__dict__.items() if k != "_source"}
+        return _rebuild, ([(n.vertex_set, n.kind, len(n.children)) for n in self.walk()],)
 
     def __repr__(self) -> str:
         # The dataclass-generated format, without one nested call per level.
@@ -116,8 +120,18 @@ class DecompositionNode:
         return done[id(self)]
 
 
+def _rebuild(flat: list) -> DecompositionNode:
+    # The tree ``DecompositionNode.__reduce__`` flattened: in reverse
+    # pre-order each node's children are built before it, the first on top.
+    stack: list = []
+    for vertex_set, kind, k in reversed(flat):
+        stack.append(DecompositionNode(vertex_set, kind, tuple(stack.pop() for _ in range(k))))
+    return stack.pop()
+
+
 def is_module(g: Graph, sub: Iterable) -> bool:
     """True iff every external vertex is adjacent to all of the set or none of it."""
+    _check_graph(g)
     return _is_module(g, g.mask_of(sub))
 
 
@@ -149,6 +163,7 @@ def _close_seed(masks: list[int], full: int, x: int, stop: int = 0) -> int:
 
 def smallest_module(g: Graph, seed: Iterable) -> frozenset:
     """The inclusion-minimal module containing the seed vertices."""
+    _check_graph(g)
     x = g.mask_of(seed)
     if not x:
         raise DomainError("seed must contain at least one vertex")
@@ -166,7 +181,10 @@ def _prime_parts(masks: list[int], x: int, shuffle: random.Random | None) -> lis
     # part is a child of its own; a closure that reaches such a part is x.
     # ``owner`` maps each vertex to its part's id, and a split gives the
     # smaller half a new id, so a task jumps over its target one part at a
-    # time.  About k^2 mask steps for k = |x|.
+    # time.  Each pivot costs a mask step, about k^2 in all for k = |x|,
+    # unless the target is the smaller side: then the pivots are first cut,
+    # at one step per target vertex, to those that can split it (Hopcroft's
+    # smaller-half rule), which takes a sparse prime node off the k^2 path.
     if shuffle is None:
         vb = x & -x
     else:
@@ -183,6 +201,17 @@ def _prime_parts(masks: list[int], x: int, shuffle: random.Random | None) -> lis
             rest ^= p
             if p & (p - 1):
                 inside.append(pid)
+        if inside and 4 * target.bit_count() < pivots.bit_count():
+            # Only a pivot that tells two vertices of the target apart can
+            # split a part: one adjacent to some but not every vertex.
+            some, every, rest = 0, -1, target
+            while rest:
+                b = rest & -rest
+                m = masks[b.bit_length() - 1]
+                some |= m
+                every &= m
+                rest ^= b
+            pivots &= some & ~every
         while pivots and inside:
             b = pivots & -pivots
             pivots ^= b
@@ -221,6 +250,68 @@ def _prime_parts(masks: list[int], x: int, shuffle: random.Random | None) -> lis
         raise InvariantError("the strong module holding the pivot is the whole node")
     family = [mv] + [p for p in parts if not p & mv]
     family.sort(key=lambda m: m & -m)
+    return family
+
+
+def _color_parts(masks: list[int], x: int, labels, shuffle: random.Random | None) -> list[int]:
+    # The children of the prime node x, from the labels of G[y] for its
+    # topmost prime ancestor y (``forcing._edge_classes``).  The edges
+    # between x's children are one color, the only one whose span is x
+    # (Gallai 1967): every other color of G[x] lies inside a child, and the
+    # colors of G[y] on the edges inside the module x are G[x]'s own.  So
+    # the children are the classes of vertices with the same neighbours in
+    # that color.  A node of t holds one color's edges at t, and it lies
+    # inside x when its lowest vertex does; only the nodes of x's vertices
+    # are read.  A node of another color inside x holds t's neighbours in
+    # t's own child, so t joins the child of its lowest vertex once that is
+    # known.  ``shuffle`` permutes the order the vertices are read in.
+    members = []
+    m = x
+    while m:
+        b = m & -m
+        members.append(b.bit_length() - 1)
+        m ^= b
+    if shuffle is not None:
+        shuffle.shuffle(members)
+    inside = set(members)
+    root, nodes, held, low = labels.root, labels.nodes, labels.held, labels.low
+    spanning = None  # the colors that every vertex read so far has an edge of
+    for t in members:
+        if spanning is None or len(spanning) > 1:
+            colors = {root[2 * k] >> 1 for k in nodes[t] if low[k] in inside}
+            spanning = colors if spanning is None else spanning & colors
+            if len(spanning) == 1:
+                (color,) = spanning
+        else:  # one color left: t needs one edge of it
+            for k in nodes[t]:
+                if root[2 * k] >> 1 == color and low[k] in inside:
+                    break
+            else:
+                spanning = set()
+        if not spanning:
+            break
+    if len(spanning) != 1:
+        raise InvariantError(("no color" if not spanning else "more than one color") + " spans a prime node")
+    parts: dict[int, int] = {}  # neighbours in that color -> the vertices that have them
+    part_of: dict[int, int] = {}  # vertex -> the neighbours of its part in that color
+    for t in members:
+        inner = []
+        for k in nodes[t]:
+            if low[k] in inside and root[2 * k] >> 1 != color:
+                key = part_of.get(low[k])
+                if key is not None:
+                    break
+                inner.append(k)
+        else:
+            key = masks[t] & x
+            for k in inner:
+                for h in held[k]:
+                    key ^= 1 << h
+        part_of[t] = key
+        parts[key] = parts.get(key, 0) | 1 << t
+    family = list(parts.values())
+    if shuffle is not None:
+        family.sort(key=lambda p: p & -p)
     return family
 
 
@@ -287,6 +378,7 @@ def maximal_strong_partition(g: Graph, *, shuffle: random.Random | None = None) 
     order-independent and tests rely on that.  ``DomainError`` unless
     ``shuffle`` is None or a ``random.Random``.
     """
+    _check_graph(g)
     _check_shuffle(shuffle)
     if g.vertex_count < 2:
         raise DomainError("partition needs at least two vertices")
@@ -302,6 +394,7 @@ def maximal_strong_partition(g: Graph, *, shuffle: random.Random | None = None) 
 
 def quotient(g: Graph, partition) -> Graph:
     """Graph on one representative (smallest vertex) per part of a module partition."""
+    _check_graph(g)
     try:
         parts = [g.mask_of(p) for p in partition]
     except TypeError:
@@ -333,32 +426,36 @@ def _upper(g: Graph) -> tuple[list[tuple[int, str, list[int] | None]], dict[int,
     # such x's split starts from, by its mask.
     full = (1 << g.vertex_count) - 1
     wants: dict[int, int] = {}
-    return _walk(g.adjacency_masks(), [(full, 0, None)] if full & (full - 1) else [], wants, None, False), wants
+    return _walk(g.adjacency_masks(), [(full, 0, None)] if full & (full - 1) else [], wants, None, split=False), wants
 
 
-def _split(g: Graph, shuffle: random.Random | None = None, upper: tuple | None = None) -> list[tuple[int, str, list[int]]]:
+def _split(g: Graph, shuffle: random.Random | None = None, upper: tuple | None = None, labels: dict | None = None) -> list[tuple[int, str, list[int]]]:
     # The one place the graph is split: ``(x, kind, parts)`` host masks per
     # internal node of the tree, in pre-order (children in order), proved by
     # ``_below``'s cover walk.  A singleton part is a leaf and has no entry.
     # Each topmost prime node of ``upper`` (``_upper(g)`` when not given)
-    # has its subtree spliced in, after every node above it is split.
+    # has its subtree spliced in, after every node above it is split.  The
+    # prime nodes below a topmost prime node with labels (in ``labels``, by
+    # its mask) are split by color, the others by refinement: labelling a
+    # dense prime node costs more than refining it.
     splits, wants = upper or _upper(g)
     masks = g.adjacency_masks()
     spliced = []
     for entry in splits:
         x, _, parts = entry
         if parts is None:
-            spliced += _walk(masks, [(x, wants[x], PRIME)], wants, shuffle)
+            spliced += _walk(masks, [(x, wants[x], PRIME)], wants, shuffle, labels[x] if labels else None)
         else:
             spliced.append(entry)
     return spliced
 
 
-def _walk(masks: list[int], stack: list, wants: dict, shuffle: random.Random | None, split: bool = True) -> list:
+def _walk(masks: list[int], stack: list, wants: dict, shuffle: random.Random | None, labels=None, split: bool = True) -> list:
     # ``_split``'s entries for the subtrees on ``stack``, the top first:
     # ``(x, want, above)`` per node of two or more vertices, with the want
     # ``_below`` gave it and what ``_scan`` may skip.  Unless ``split``, a
     # prime node is listed as ``(x, PRIME, None)``, its want in ``wants``.
+    # Prime nodes are split from ``labels`` when given, else by refinement.
     splits = []
     while stack:
         x, want, above = stack.pop()
@@ -368,7 +465,7 @@ def _walk(masks: list[int], stack: list, wants: dict, shuffle: random.Random | N
                 splits.append((x, PRIME, None))
                 wants[x] = want
                 continue
-            parts = _prime_parts(masks, x, shuffle)
+            parts = _prime_parts(masks, x, shuffle) if labels is None else _color_parts(masks, x, labels, shuffle)
         splits.append((x, kind, parts))
         stack += [(p, w, None if kind == PRIME else kind) for p, w in reversed(_below(masks, x, kind, parts, want))]
     return splits
@@ -386,6 +483,7 @@ def decomposition_tree(g: Graph, *, shuffle: random.Random | None = None) -> Dec
     recursion and no graph per level.  The root keeps g and those masks,
     which ``multiplex_partition`` reads.  ``DomainError`` unless ``shuffle``
     is None or a ``random.Random``."""
+    _check_graph(g)
     _check_shuffle(shuffle)
     if g.vertex_count == 0:
         raise DomainError("cannot decompose an empty vertex set")
@@ -447,6 +545,7 @@ def is_strong_module(g: Graph, sub: Iterable) -> bool:
     (plus the trivial sets); tests verify this against the brute-force
     definition.
     """
+    _check_graph(g)
     x = g.mask_of(sub)
     if not x & (x - 1) or x == (1 << g.vertex_count) - 1:
         return True

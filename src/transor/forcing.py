@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .decomposition import SERIES, _upper
 from .errors import DomainError, InvariantError
-from .graph import Graph, _pair, spanned_vertices
+from .graph import Graph, _check_graph, _pair, spanned_vertices
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,7 @@ def directly_forces(e1: tuple, e2: tuple, g: Graph) -> bool:
     """True iff directed edge e1 forces e2 in one step (reflexive by convention).
 
     ``DomainError`` unless both are pairs naming edges of the graph."""
+    _check_graph(g)
     a, b = _pair(e1)
     a2, b2 = _pair(e2)
     for x, y in ((a, b), (a2, b2)):
@@ -105,7 +106,17 @@ def directly_forces(e1: tuple, e2: tuple, g: Graph) -> bool:
     return False
 
 
-def _edge_classes(masks: list[int], x: int) -> tuple[dict, list[int], dict]:
+class _Labels(NamedTuple):
+    # ``_edge_classes``'s labels of G[x]; see there.
+    group: dict
+    root: list
+    inverse: dict
+    nodes: dict
+    held: list
+    low: list
+
+
+def _edge_classes(masks: list[int], x: int) -> _Labels:
     """The implication classes of the subgraph induced on the vertex mask x,
     as labels by host vertex index.
 
@@ -119,13 +130,18 @@ def _edge_classes(masks: list[int], x: int) -> tuple[dict, list[int], dict]:
     a component that is not bipartite is one class, its own reverse.  One
     stack BFS 2-colours each component: (t,h) lies in class
     ``root[2 * group[t][h]]``, ``root[2k + 1]`` is the class of node k's
-    in-edges, and ``inverse`` maps a class to its reverses'.  ``group`` has
-    a key per vertex of x, in index order.  One mask BFS per vertex and
-    O(|E|) BFS steps.
+    in-edges, and ``inverse`` maps a class to its reverses'.  A component
+    is one color, so ``root[2k] >> 1`` (its first node) is the color of
+    node k's edges.  ``group`` has a key per vertex of x, in index order,
+    ``nodes[t]`` is the range of t's nodes, and node k holds the
+    co-component ``held[k]``, whose lowest vertex is ``low[k]``.  One mask
+    BFS per vertex and O(|E|) BFS steps.
     """
     group: dict = {}
+    nodes: dict = {}
     owner: list[int] = []  # node -> its vertex
     held: list = []  # node -> the vertices of its co-component
+    low: list[int] = []
     for t in _bits(x):
         m = masks[t] & x  # the neighbours in x not yet reached
         of: dict = {}
@@ -133,6 +149,7 @@ def _edge_classes(masks: list[int], x: int) -> tuple[dict, list[int], dict]:
         while m:  # one co-component per round, from its lowest vertex
             k = len(owner)
             frontier = m & -m
+            low.append(frontier.bit_length() - 1)
             m ^= frontier
             while frontier:
                 b = frontier & -frontier
@@ -150,6 +167,7 @@ def _edge_classes(masks: list[int], x: int) -> tuple[dict, list[int], dict]:
                 lists[k - first].append(h)
             held += lists
         group[t] = of
+        nodes[t] = range(first, len(owner))
     # root[2k] is the class of node k's out-edges, 2s or 2s + 1 for the first
     # node s of its component, and root[2k + 1] that of its in-edges: the
     # other one.  An edge that leaves node k enters a node whose in-edges
@@ -176,7 +194,7 @@ def _edge_classes(masks: list[int], x: int) -> tuple[dict, list[int], dict]:
         for i in range(0, len(root), 2):
             if root[i] >> 1 in odd:
                 root[i] = root[i + 1] = root[i] & ~1
-    return group, root, _reverse_classes(root)
+    return _Labels(group, root, _reverse_classes(root), nodes, held, low)
 
 
 def _bits(x: int) -> Iterator[int]:
@@ -211,6 +229,7 @@ def color_classes(g: Graph) -> ColorMap:
     it; a cograph runs no labelling.  Colors are numbered by their smallest
     edge, and each forward half is the class of that edge, in vertex order.
     """
+    _check_graph(g)
     vs, masks = g.vertices, g.adjacency_masks()
     n = len(vs)
     # Per color: the code t * n + h of its smallest edge (t, h), its forward
@@ -239,7 +258,7 @@ def _prime_colors(vs: tuple, masks: list[int], x: int) -> list[tuple]:
     # ``color_classes``'s entries for the colors of G[x]: its edges are read
     # in vertex order, so a color is met first at its smallest edge, whose
     # class is its forward half.
-    group, root, inverse = _edge_classes(masks, x)
+    group, root, inverse, *_ = _edge_classes(masks, x)
     n = len(vs)
     halves: dict = {}  # class -> (its color's entry, its edges, or None for a reverse half)
     found = []
@@ -266,9 +285,11 @@ def is_comparability(g: Graph) -> bool:
     The verdict reads the ``_edge_classes`` labels of each topmost prime
     node ``_upper`` lists, before any prime split (no class there is its
     own reverse; a cograph runs no labelling), and builds no ``ColorMap``.
-    When it says yes, the first orientation is verified on bitmasks; a
+    When it says yes, each prime node is split by its spanning color from
+    those labels, and the first orientation is verified on bitmasks; a
     failure there is an internal invariant error, never a return value.
     """
+    _check_graph(g)
     from .orientation import _analyze
 
     return _analyze(g) is not None

@@ -136,12 +136,14 @@ class Graph:
 
 def induced_subgraph(g: Graph, sub: Iterable) -> Graph:
     """Subgraph on a vertex subset, keeping exactly the edges with both ends inside."""
+    _check_graph(g)
     xs = g.unmask(g.mask_of(sub))
     return Graph(xs, [(u, v) for u, v in g.sorted_edges() if u in xs and v in xs])
 
 
 def complement(g: Graph) -> Graph:
     """Same vertices; an edge exactly where the input has none."""
+    _check_graph(g)
     vs, masks = g.vertices, g.adjacency_masks()
     n = len(vs)
     return Graph(vs, [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n) if not masks[i] >> j & 1])
@@ -167,8 +169,15 @@ def mask_components(masks: list[int], x: int, co: bool = False) -> list[int]:
 
 def connected_components(g: Graph) -> list[frozenset]:
     """Maximal connected vertex sets, ordered by their smallest member."""
+    _check_graph(g)
     full = (1 << g.vertex_count) - 1
     return [g.unmask(c) for c in mask_components(g.adjacency_masks(), full)]
+
+
+def _check_graph(g) -> None:
+    # The one check of a graph argument from outside.
+    if not isinstance(g, Graph):
+        raise DomainError(f"graph {g!r} is not a Graph")
 
 
 def _pair(pair, name: str = "pair of vertices") -> tuple:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .decomposition import PARALLEL, SERIES, DecompositionNode, _blocks, _splits_of, is_strong_module
 from .errors import DomainError, InvariantError
 from .forcing import ColorClass, ColorMap, color_classes
-from .graph import Graph
+from .graph import Graph, _check_graph
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,7 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
     tree ``decomposition_tree`` returned for g or for a graph equal to it,
     and when ``cmap`` is the color map of another graph.
     """
+    _check_graph(g)
     splits = _splits_of(g, tree)
     if cmap is None:
         cmap = color_classes(g)
@@ -112,6 +113,7 @@ def color_multiplex(g: Graph, cmap: ColorMap, color_id: int) -> Multiplex:
     """The rank-1 multiplex generated by a single edge of the given color.
 
     ``DomainError`` unless ``color_id`` is an int in ``0..len(cmap.colors) - 1``."""
+    _check_graph(g)
     _check_map(g, cmap)
     if not isinstance(color_id, int) or isinstance(color_id, bool):
         raise DomainError(f"color id {color_id!r} is not an int")
@@ -128,6 +130,7 @@ def color_multiplex(g: Graph, cmap: ColorMap, color_id: int) -> Multiplex:
 
 def is_maximal_multiplex(g: Graph, m: Multiplex) -> bool:
     """A multiplex is maximal exactly when its span is a strong module."""
+    _check_graph(g)
     _check_multiplex(m)
     return is_strong_module(g, m.span)
 
@@ -138,6 +141,7 @@ def simplex_extension_exists(g: Graph, m: Multiplex, a, cmap: ColorMap | None = 
     True iff the vertex reaches the span through at least two distinct colors
     that the multiplex does not already contain.
     """
+    _check_graph(g)
     _check_multiplex(m)
     around = g.neighbors(a)  # DomainError unless a is a vertex
     if a in m.span:

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from typing import Iterator
 
 from .errors import DomainError, InvariantError, OracleScaleError
-from .graph import Graph, complement, connected_components
+from .graph import Graph, _check_graph, complement, connected_components
 from .orientation import Orientation, is_transitive
 
 _MASK64 = (1 << 64) - 1
@@ -70,6 +70,7 @@ def brute_force_orientations(g: Graph) -> list[Orientation]:
     is decided, so the leaves are exactly the transitive orientations, sorted
     by their pairs.  Refuses more than 20 edges.
     """
+    _check_graph(g)
     m = g.edge_count
     if m > MAX_ORACLE_EDGES:
         raise OracleScaleError(f"orientation scan limited to {MAX_ORACLE_EDGES} edges, got {m}")
@@ -104,6 +105,7 @@ def implication_classes(g: Graph) -> set[frozenset]:
     """The implication classes by definition: a BFS over the 2|E| directed edges
     in which (a,b) forces (a,b') when bb' is no edge and (a',b) when aa' is none.
     The reference for ``color_classes``: a definition, not a search, so unguarded."""
+    _check_graph(g)
     adj = {v: g.neighbors(v) for v in g.vertices}
     seen, classes = set(), set()
     for start in [d for e in g.edges for d in (e, e[::-1])]:
@@ -149,11 +151,13 @@ def _module_masks(g: Graph) -> list[int]:
 
 def brute_force_modules(g: Graph) -> set[frozenset]:
     """All nonempty modules, by scanning every vertex subset.  Refuses |V| > 12."""
+    _check_graph(g)
     return {g.unmask(x) for x in _module_masks(g)}
 
 
 def brute_force_strong_modules(g: Graph) -> set[frozenset]:
     """Modules overlapped by no other module."""
+    _check_graph(g)
     return {g.unmask(x) for x in _strong(_module_masks(g))}
 
 
@@ -164,6 +168,7 @@ def strong_modules_of_order(g: Graph, o: Orientation) -> set[frozenset]:
     to it in each direction separately; strong means overlapped by no other
     directed module.  Test-support operation, capped at 10 vertices.
     """
+    _check_graph(g)
     n = g.vertex_count
     if n > MAX_ORDER_VERTICES:
         raise OracleScaleError(f"directed strong modules limited to {MAX_ORDER_VERTICES} vertices, got {n}")
@@ -187,6 +192,7 @@ def closure_strong_partition(g: Graph) -> set[frozenset]:
     vertices left over are singletons.  Some O(n^4) mask steps, so it
     refuses more than 60 vertices: a reference past the subset scan's 12.
     """
+    _check_graph(g)
     n = g.vertex_count
     if n > MAX_CLOSURE_VERTICES:
         raise OracleScaleError(f"pair-closure partition limited to {MAX_CLOSURE_VERTICES} vertices, got {n}")

@@ -20,7 +20,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 from .decomposition import PARALLEL, PRIME, SERIES, _blocks, _check_shuffle, _split, _upper
 from .errors import DomainError, InvariantError
 from .forcing import _bits, _edge_classes
-from .graph import Graph, _pair
+from .graph import Graph, _check_graph, _pair
 
 
 @dataclass(init=False, unsafe_hash=True)
@@ -74,6 +74,7 @@ class Orientation:
         """Build from (tail, head) pairs whose tokens may be strings of g's vertices.
 
         ``DomainError`` unless they orient every edge of g exactly once."""
+        _check_graph(g)
         return cls(_read_pairs(g, pairs)[0])
 
 
@@ -125,6 +126,7 @@ def is_transitive(g: Graph, o: Orientation) -> bool:
     """True iff every directed path x->y->z closes with the edge x->z.
 
     ``DomainError`` unless ``o`` orients every edge of g exactly once."""
+    _check_graph(g)
     if not isinstance(o, Orientation):
         raise DomainError(f"orientation {o!r} is not an Orientation")
     if any(isinstance(pair, (str, bytes)) for pair in o.directed):
@@ -189,7 +191,9 @@ def _analyze(g: Graph, shuffle: random.Random | None = None) -> list[tuple] | No
     such x, and only then does ``_split`` split the prime nodes: series and
     parallel nodes leave no forcing choice (Gallai 1967), so a cograph runs
     none.  The classes of G on the edges inside a module are the module's
-    own, so a nested prime node reads its topmost ancestor's labels.
+    own, so a nested prime node reads its topmost ancestor's labels, and
+    ``_split`` splits every prime node from them, by the one color whose
+    span is the node (``decomposition._color_parts``), not by refinement.
 
     None ("false") at the first G[x] with a class that is its own reverse,
     before any prime split: no graph that induces G[x] is a comparability
@@ -212,7 +216,7 @@ def _analyze(g: Graph, shuffle: random.Random | None = None) -> list[tuple] | No
             labelled[x] = _edge_classes(masks, x)
             if any(c == r for c, r in labelled[x][2].items()):  # a class that is its own reverse
                 return None
-    splits = _split(g, shuffle, upper)
+    splits = _split(g, shuffle, upper, labelled)
     nodes = []
     for x, kind, parts in splits:
         if kind == PARALLEL:
@@ -220,7 +224,7 @@ def _analyze(g: Graph, shuffle: random.Random | None = None) -> list[tuple] | No
         blocks = _blocks(masks, kind, parts)
         if kind == PRIME:
             if x in labelled:  # a topmost prime node; the nested ones follow it
-                group, root, inverse = labelled[x]
+                group, root, inverse, *_ = labelled[x]
             reps = [(p & -p).bit_length() - 1 for p in parts]
             labels = [root[2 * group[reps[i]][reps[j]]] for i, j in blocks]
             forward = labels[0]
@@ -270,6 +274,7 @@ def _verify(masks: list[int], splits: list, nodes: list) -> None:
 
 def count_orientations(g: Graph) -> int:
     """Exact number of transitive orientations, as an arbitrary-precision int."""
+    _check_graph(g)
     nodes = _analyze(g)
     if nodes is None:
         return 0
@@ -291,6 +296,7 @@ def orientation_at(g: Graph, k: int) -> Orientation:
     values, its child orders in lexicographic order, and a prime node two,
     its canonical half first.  ``DomainError`` when g is not a comparability
     graph, or ``k`` is not an int in ``0..count - 1``."""
+    _check_graph(g)
     if not isinstance(k, int) or isinstance(k, bool):
         raise DomainError(f"rank {k!r} is not an int")
     nodes = _analyze(g)
@@ -372,6 +378,7 @@ def enumerate_orientations(
     sorted.  ``DomainError`` unless ``limit`` is None or an int and
     ``shuffle`` None or a ``random.Random``.
     """
+    _check_graph(g)
     _check_shuffle(shuffle)
     if not (limit is None or isinstance(limit, int) and not isinstance(limit, bool)):
         raise DomainError(f"limit {limit!r} is not an int")

@@ -52,6 +52,14 @@ def threshold_graph(n: int) -> Graph:
     return Graph(range(n), [(j, i) for i in range(1, n, 2) for j in range(i)])
 
 
+def random_tree(n: int, seed: int = 1) -> Graph:
+    # Vertex i > 0 hangs below ``random.Random(seed).randrange(i)``.  Past a
+    # star, a tree is one sparse prime node over parallel nodes of leaves,
+    # and it has two orientations: every vertex a source or a sink.
+    draw = random.Random(seed)
+    return Graph(range(n), [(draw.randrange(i), i) for i in range(1, n)])
+
+
 def balanced_cograph(depth: int) -> Graph:
     # Levels alternate disjoint union and join; the root is a join.
     n = 2 ** depth

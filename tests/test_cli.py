@@ -156,15 +156,18 @@ def _seed_inputs(write) -> list[tuple[str, bool]]:
     ]
 
 
-def _seeds_reaching_prime_splits(monkeypatch) -> list:
+def _seeds_reaching_prime_splits(monkeypatch, splitter: str) -> list:
+    # The shuffle each call of the prime splitter gets (its last argument).
+    # ``decompose`` refines prime nodes, and ``enumerate``, which labels the
+    # topmost ones, splits them by color.
     seen = []
-    real = decomposition._prime_parts
-    monkeypatch.setattr(decomposition, "_prime_parts", lambda masks, x, shuffle: seen.append(shuffle) or real(masks, x, shuffle))
+    real = getattr(decomposition, splitter)
+    monkeypatch.setattr(decomposition, splitter, lambda *args: seen.append(args[-1]) or real(*args))
     return seen
 
 
 def test_decompose_seed_does_not_change_output(write, capsys, monkeypatch):
-    seen = _seeds_reaching_prime_splits(monkeypatch)
+    seen = _seeds_reaching_prime_splits(monkeypatch, "_prime_parts")
     for path, prime in _seed_inputs(write):
         _, base, _ = run(capsys, "decompose", path)
         for seed in ("1", "2", "99"):
@@ -175,7 +178,7 @@ def test_decompose_seed_does_not_change_output(write, capsys, monkeypatch):
 
 
 def test_enumerate_seed_does_not_change_output(write, capsys, monkeypatch):
-    seen = _seeds_reaching_prime_splits(monkeypatch)
+    seen = _seeds_reaching_prime_splits(monkeypatch, "_color_parts")
     for path, prime in _seed_inputs(write):
         limit = ("--limit", "3") if prime else ()
         _, base, _ = run(capsys, "enumerate", *limit, path)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 import time
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -23,10 +26,10 @@ from transor import (
     quotient,
     smallest_module,
 )
-from transor import decomposition
+from transor import decomposition, forcing
 from transor.decomposition import LEAF, PARALLEL, PRIME, SERIES
 from transor.forcing import color_classes
-from transor.oracle import closure_strong_partition, fixtures, path_graph, random_graph
+from transor.oracle import closure_strong_partition, fixtures, path_graph, random_graph, six_vertex_graph_classes
 
 import checks
 
@@ -99,6 +102,13 @@ def test_tree_shapes(fx):
     p4_tree = decomposition_tree(fx["p4"])
     assert p4_tree.kind == PRIME
     assert all(c.kind == LEAF for c in p4_tree.children)
+
+
+def test_a_deep_tree_pickles_and_copies_at_any_depth():
+    # threshold_graph(1000)'s tree is a chain 999 nodes deep.
+    tree = decomposition_tree(checks.threshold_graph(1000))
+    for other in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree), copy.copy(tree)):
+        assert other == tree and other is not tree
 
 
 def test_tree_of_single_vertex_and_empty_input():
@@ -211,15 +221,77 @@ def test_long_path_is_one_prime_node_built_fast():
     assert count_orientations(g) == 2
 
 
-# Every verb that splits the graph: the split is proved on each path.
-SPLITTING = (
+def test_a_sparse_prime_node_refines_from_the_smaller_side():
+    # Each refinement task first cuts its pivots to the vertices that tell
+    # two vertices of its target apart when the target is the smaller side,
+    # so a random tree reads about a few masks per vertex, not ~n^2/8.
+    class Counted(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            self.reads += 1
+            return super().__getitem__(i)
+
+    g = checks.random_tree(3000)
+    masks = Counted(g.adjacency_masks())
+    parts = decomposition._prime_parts(masks, (1 << g.vertex_count) - 1, None)
+    assert parts == decomposition._split(g)[0][2]
+    assert masks.reads < 10 * g.vertex_count
+
+
+def test_a_random_tree_of_eight_thousand_vertices_is_split_fast():
+    g = checks.random_tree(8000)
+    start = time.perf_counter()
+    tree = decomposition_tree(g)
+    assert time.perf_counter() - start < 2.0
+    assert tree.kind == PRIME
+    start = time.perf_counter()
+    assert count_orientations(g) == 2
+    assert time.perf_counter() - start < 2.0
+
+
+def _label_graphs() -> list:
+    graphs = six_vertex_graph_classes()
+    graphs += [random_graph(3 + i % 42, Fraction(1 + i % 9, 10), i) for i in range(300)]
+    graphs += [checks.random_poset_graph(20 + 7 * i, Fraction(1, 10), i) for i in range(20)]
+    graphs += [checks.substitution_graph(n, seed, c5)[0] for n, seed in ((500, 1), (2000, 3), (500, 6)) for c5 in (False, True)]
+    return graphs + [checks.random_tree(n) for n in (50, 300, 2000)]
+
+
+def test_prime_nodes_split_by_color_as_by_refinement():
+    # With the labels of each topmost prime node, every prime node below it
+    # is split by its spanning color; the split list is the refinement's,
+    # entry by entry, also under shuffled reading orders, and the count is
+    # the one its nodes give.
+    graphs = _label_graphs()
+    assert len(graphs) == 485
+    for g in graphs:
+        masks = g.adjacency_masks()
+        upper = decomposition._upper(g)
+        labels = {x: forcing._edge_classes(masks, x) for x, _, parts in upper[0] if parts is None}
+        refined = decomposition._split(g)
+        for seed in (None, 0, 1, 2):
+            assert decomposition._split(g, seed if seed is None else random.Random(seed), upper, labels) == refined
+        comparable = not any(c == r for found in labels.values() for c, r in found.inverse.items())
+        radices = [factorial(len(parts)) if kind == SERIES else 2 for _, kind, parts in refined if kind != PARALLEL]
+        assert count_orientations(g) == comparable * prod(radices)
+
+
+# Every verb that splits the graph: the split is proved on each path.  The
+# verbs that label the topmost prime nodes split prime nodes by color, the
+# others by refinement.
+REFINING = (
     decomposition_tree,
     maximal_strong_partition,
+    lambda g: multiplex_partition(g, decomposition_tree(g)),
+)
+LABELLING = (
     is_comparability,
     count_orientations,
     lambda g: next(enumerate_orientations(g)),
-    lambda g: multiplex_partition(g, decomposition_tree(g)),
 )
+SPLITTING = REFINING + LABELLING
+PRIME_SPLITTERS = [("_prime_parts", REFINING, LABELLING), ("_color_parts", LABELLING, REFINING)]
 
 
 def _corrupt_scans(monkeypatch, fault):
@@ -276,23 +348,31 @@ def test_a_faulty_series_or_parallel_split_is_an_invariant_error(fx, monkeypatch
         (("a", "b", "c", "d", ""), "a strong part is empty"),
     ],
 )
-def test_faulty_prime_parts_are_an_invariant_error(fx, monkeypatch, parts, message):
-    # P4 a-b-c-d is one prime node; its split is replaced by the parts given.
+@pytest.mark.parametrize("splitter, faulty, sound", PRIME_SPLITTERS, ids=[name for name, _, _ in PRIME_SPLITTERS])
+def test_faulty_prime_parts_are_an_invariant_error(fx, monkeypatch, parts, message, splitter, faulty, sound):
+    # P4 a-b-c-d is one prime node; one prime splitter's split is replaced
+    # by the parts given, which the verbs that take it must refuse and the
+    # verbs that take the other one never read.
     p4 = fx["p4"]
     masks = [p4.mask_of(p) for p in parts]
-    monkeypatch.setattr(decomposition, "_prime_parts", lambda *args: masks)
-    for verb in SPLITTING:
+    monkeypatch.setattr(decomposition, splitter, lambda *args: masks)
+    for verb in faulty:
         with pytest.raises(InvariantError, match=message):
             verb(p4)
+    for verb in sound:
+        verb(p4)
 
 
 def test_a_pivot_module_that_closes_to_the_node_is_an_invariant_error(fx, monkeypatch):
     # With a closure that never reaches the whole node, every part merges
     # with the pivot's, which leaves P4 no proper strong module to split by.
+    # Only the refinement closes modules: a prime node split by color is not.
     monkeypatch.setattr(decomposition, "_close_seed", lambda masks, full, x, stop=0: x)
-    for verb in SPLITTING:
+    for verb in REFINING:
         with pytest.raises(InvariantError, match="the strong module holding the pivot is the whole node"):
             verb(fx["p4"])
+    assert count_orientations(fx["p4"]) == 2
+    assert is_comparability(fx["p4"])
 
 
 @pytest.mark.parametrize("kind, parts", [(SERIES, [0b11]), (PRIME, [0b01, 0b10])], ids=[SERIES, PRIME])

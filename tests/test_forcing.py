@@ -203,10 +203,11 @@ def test_color_classes_split_no_prime_node(monkeypatch):
     # The colors lie in the series blocks above the topmost prime nodes and
     # in those nodes' own labels, so no prime node is split, however deep
     # the prime nodes nest or whatever the verdict.
-    def refuse(masks, x, shuffle):
+    def refuse(*args):
         raise AssertionError("prime split ran")
 
     monkeypatch.setattr(decomposition, "_prime_parts", refuse)
+    monkeypatch.setattr(decomposition, "_color_parts", refuse)
     cases = [(checks.substitution_graph(500, 1)[0], False), (checks.substitution_graph(2000, 3)[0], False)]
     cases += [(checks.substitution_graph(2000, 3, c5=True)[0], True), (checks.random_poset_graph(150, Fraction(1, 10), 1), False)]
     for g, c5 in cases:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import random
 import tracemalloc
 from itertools import combinations
@@ -29,6 +30,8 @@ from transor import (
     smallest_module,
     spanned_vertices,
 )
+import transor
+from transor import oracle
 from transor.oracle import cycle_graph, complete_graph, fixtures, random_graph
 
 import checks
@@ -286,6 +289,58 @@ def _wrong_types() -> list:
 def test_a_library_object_of_the_wrong_type_is_a_domain_error_that_names_it(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+def _no_graph_calls() -> dict:
+    # Each public function that takes a graph, called with 5 for the graph
+    # and fitting values for the rest.
+    paw = fixtures()["paw"]
+    cmap = color_classes(paw)
+    m = color_multiplex(paw, cmap, 0)
+    o = next(enumerate_orientations(paw))
+    return {
+        transor.induced_subgraph: lambda g: transor.induced_subgraph(g, "a"),
+        transor.complement: transor.complement,
+        transor.connected_components: transor.connected_components,
+        transor.directly_forces: lambda g: transor.directly_forces(("a", "b"), ("a", "c"), g),
+        transor.color_classes: transor.color_classes,
+        transor.is_comparability: transor.is_comparability,
+        transor.check_triangle_lemma: transor.check_triangle_lemma,
+        transor.is_module: lambda g: transor.is_module(g, "a"),
+        transor.smallest_module: lambda g: transor.smallest_module(g, "a"),
+        transor.maximal_strong_partition: transor.maximal_strong_partition,
+        transor.quotient: lambda g: transor.quotient(g, ["abcd"]),
+        transor.decomposition_tree: transor.decomposition_tree,
+        transor.is_strong_module: lambda g: transor.is_strong_module(g, "a"),
+        transor.multiplex_partition: lambda g: transor.multiplex_partition(g, decomposition_tree(paw), cmap),
+        transor.color_multiplex: lambda g: transor.color_multiplex(g, cmap, 0),
+        transor.is_maximal_multiplex: lambda g: transor.is_maximal_multiplex(g, m),
+        transor.simplex_extension_exists: lambda g: transor.simplex_extension_exists(g, m, "d", cmap),
+        transor.count_orientations: transor.count_orientations,
+        transor.enumerate_orientations: lambda g: list(transor.enumerate_orientations(g)),
+        transor.orientation_at: lambda g: transor.orientation_at(g, 0),
+        transor.is_transitive: lambda g: transor.is_transitive(g, o),
+        Orientation.from_pairs: lambda g: Orientation.from_pairs(g, []),
+        oracle.brute_force_orientations: oracle.brute_force_orientations,
+        oracle.implication_classes: oracle.implication_classes,
+        oracle.brute_force_modules: oracle.brute_force_modules,
+        oracle.brute_force_strong_modules: oracle.brute_force_strong_modules,
+        oracle.strong_modules_of_order: lambda g: oracle.strong_modules_of_order(g, o),
+        oracle.closure_strong_partition: oracle.closure_strong_partition,
+    }
+
+
+def test_every_public_function_that_takes_a_graph_is_called_below():
+    public = [getattr(transor, name) for name in transor.__all__] + [getattr(oracle, n) for n in dir(oracle) if not n.startswith("_")]
+    public += [Orientation.from_pairs]
+    functions = {f for f in public if inspect.isfunction(f) or inspect.ismethod(f)}
+    assert {f for f in functions if "g" in inspect.signature(f).parameters} == set(_no_graph_calls())
+
+
+@pytest.mark.parametrize("call", list(_no_graph_calls().values()), ids=[f.__name__ for f in _no_graph_calls()])
+def test_a_graph_argument_that_is_no_graph_is_a_domain_error(call):
+    with pytest.raises(DomainError, match=r"^graph 5 is not a Graph$"):
+        call(5)
 
 
 def test_an_unknown_vertex_has_one_message():

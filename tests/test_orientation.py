@@ -207,18 +207,71 @@ def test_a_class_reversing_into_two_classes_is_an_invariant_error(fx, monkeypatc
     assert len(color_classes(fx["paw"]).colors) == 2
 
 
-def test_prime_blocks_in_two_colors_are_an_invariant_error(fx, monkeypatch):
-    # Labels from a union-find that joined nothing: P4's three prime blocks
-    # then lie in three colors, which the analysis must refuse.
-    def unjoined(masks, x):
-        group, root, _ = forcing._edge_classes(masks, x)
-        root = list(range(len(root)))
-        return group, root, forcing._reverse_classes(root)
+# P4 a-b-c-d with its end a replaced by the edge aa': a prime node over the
+# series child {a, a'}, b, c and d, whose edge aa' is a color of its own.
+P4_WITH_A_TWIN = Graph(["a", "a'", "b", "c", "d"], [("a", "a'"), ("a", "b"), ("a'", "b"), ("b", "c"), ("c", "d")])
 
-    monkeypatch.setattr(orientation, "_edge_classes", unjoined)
+
+def test_prime_blocks_in_two_colors_are_an_invariant_error(monkeypatch):
+    # Each edge at t is read from t's first knotting node.  For a that node
+    # holds a', so the block from {a, a'} to b reads the color of aa', while
+    # the nodes that split the prime node are left as they are.
+    def first_node(masks, x):
+        labels = forcing._edge_classes(masks, x)
+        return labels._replace(group={t: dict.fromkeys(of, min(of.values())) for t, of in labels.group.items()})
+
+    assert count_orientations(P4_WITH_A_TWIN) == 4
+    monkeypatch.setattr(orientation, "_edge_classes", first_node)
     for verb in VERBS:
         with pytest.raises(InvariantError, match="single color"):
-            verb(fx["p4"])
+            verb(P4_WITH_A_TWIN)
+
+
+# P4 with each vertex replaced by an edge: every vertex has an edge inside
+# its child, of a color of that child's own, and edges across.
+PAIRS = ["ab", "cd", "ef", "gh"]
+P4_OF_EDGES = Graph("abcdefgh", [tuple(p) for p in PAIRS] + [(u, v) for p, q in zip(PAIRS, PAIRS[1:]) for u in p for v in q])
+
+
+def _merged_inner_colors(masks, x):
+    # Every color that some vertex of G[x] has no edge of, merged into one,
+    # each node keeping the side of its class.
+    labels = forcing._edge_classes(masks, x)
+    root = labels.root
+    touched: dict = {}  # color -> the vertices with an edge of it
+    for t, ks in labels.nodes.items():
+        for k in ks:
+            touched.setdefault(root[2 * k] >> 1, set()).add(t)
+    inner = {c for c, ts in touched.items() if len(ts) < len(labels.nodes)}
+    into = min(inner)
+    root = [2 * into | r & 1 if r >> 1 in inner else r for r in root]
+    return labels._replace(root=root, inverse=forcing._reverse_classes(root))
+
+
+def _unjoined(masks, x):
+    # Labels from a knotting-graph walk that joined nothing: each node a
+    # color of its own.
+    labels = forcing._edge_classes(masks, x)
+    root = list(range(len(labels.root)))
+    return labels._replace(root=root, inverse=forcing._reverse_classes(root))
+
+
+@pytest.mark.parametrize(
+    "labels, g, count, message",
+    [
+        (_unjoined, fixtures()["p4"], 2, "no color spans a prime node"),
+        (_merged_inner_colors, P4_OF_EDGES, 2 * 2**4, "more than one color spans a prime node"),
+    ],
+    ids=["none", "two"],
+)
+def test_a_prime_node_that_no_color_or_two_colors_span_is_an_invariant_error(monkeypatch, labels, g, count, message):
+    # The children of a prime node are read off the one color whose span is
+    # the node.  With no such color, or more than one, the split is refused.
+    assert count_orientations(g) == count
+    monkeypatch.setattr(orientation, "_edge_classes", labels)
+    for verb in VERBS:
+        with pytest.raises(InvariantError, match=message):
+            verb(g)
 
 
 def _joins(depth: int) -> int:
@@ -250,10 +303,11 @@ def test_a_prime_node_says_false_before_its_prime_split(fx, monkeypatch):
     # The labels of each topmost prime node G[x] run once the scans have found
     # every such x connected and co-connected, so a self-inverse class there
     # answers before any prime split, also one in a node late in pre-order.
-    def refuse(masks, x, shuffle):
+    def refuse(*args):
         raise AssertionError("prime split ran")
 
     monkeypatch.setattr(decomposition, "_prime_parts", refuse)
+    monkeypatch.setattr(decomposition, "_color_parts", refuse)
     late = checks.substitution_graph(500, 6, c5=True)[0]  # its C5 lies under a late topmost prime node
     for g in (fx["c5"], random_graph(40, Fraction(1, 10), 1), late):
         assert not is_comparability(g)
