@@ -253,18 +253,32 @@ def _prime_parts(masks: list[int], x: int, shuffle: random.Random | None) -> lis
     return family
 
 
-def _color_parts(masks: list[int], x: int, labels, shuffle: random.Random | None) -> list[int]:
+def _node_runs(labels) -> tuple:
+    # What ``_color_parts`` reads of the labels of a topmost prime node y
+    # (``forcing._edge_classes``), built once per such node and only on the
+    # path that splits it by color, so ``color_classes`` pays for none of
+    # it: the class of each knotting node's out-edges, its co-component,
+    # and the range of each vertex's nodes.
+    starts, held = labels.starts, labels.held
+    return labels.root, held, dict(zip(labels.group, map(range, starts, starts[1:] + [len(held)])))
+
+
+def _color_parts(masks: list[int], x: int, runs: tuple, shuffle: random.Random | None) -> list[int]:
     # The children of the prime node x, from the labels of G[y] for its
-    # topmost prime ancestor y (``forcing._edge_classes``).  The edges
+    # topmost prime ancestor y, as ``_node_runs`` gives them.  The edges
     # between x's children are one color, the only one whose span is x
     # (Gallai 1967): every other color of G[x] lies inside a child, and the
     # colors of G[y] on the edges inside the module x are G[x]'s own.  So
     # the children are the classes of vertices with the same neighbours in
     # that color.  A node of t holds one color's edges at t, and it lies
     # inside x when its lowest vertex does; only the nodes of x's vertices
-    # are read.  A node of another color inside x holds t's neighbours in
-    # t's own child, so t joins the child of its lowest vertex once that is
-    # known.  ``shuffle`` permutes the order the vertices are read in.
+    # are read.  A vertex with one node has it inside x (its neighbours
+    # outside the module x, if any, would make another), so that node has
+    # the spanning color; a vertex with several nodes holds their
+    # co-components as lists, lowest vertex first.  A node of another color
+    # inside x holds t's neighbours in t's own child, so t joins the child
+    # of its lowest vertex once that is known.  ``shuffle`` permutes the
+    # order the vertices are read in.
     members = []
     m = x
     while m:
@@ -274,17 +288,19 @@ def _color_parts(masks: list[int], x: int, labels, shuffle: random.Random | None
     if shuffle is not None:
         shuffle.shuffle(members)
     inside = set(members)
-    root, nodes, held, low = labels.root, labels.nodes, labels.held, labels.low
+    root, held, nodes = runs
     spanning = None  # the colors that every vertex read so far has an edge of
     for t in members:
+        ks = nodes[t]
+        lone = len(ks) == 1
         if spanning is None or len(spanning) > 1:
-            colors = {root[2 * k] >> 1 for k in nodes[t] if low[k] in inside}
+            colors = {root[2 * k] >> 1 for k in ks if lone or held[k][0] in inside}
             spanning = colors if spanning is None else spanning & colors
             if len(spanning) == 1:
                 (color,) = spanning
         else:  # one color left: t needs one edge of it
-            for k in nodes[t]:
-                if root[2 * k] >> 1 == color and low[k] in inside:
+            for k in ks:
+                if root[2 * k] >> 1 == color and (lone or held[k][0] in inside):
                     break
             else:
                 spanning = set()
@@ -297,8 +313,8 @@ def _color_parts(masks: list[int], x: int, labels, shuffle: random.Random | None
     for t in members:
         inner = []
         for k in nodes[t]:
-            if low[k] in inside and root[2 * k] >> 1 != color:
-                key = part_of.get(low[k])
+            if root[2 * k] >> 1 != color and held[k][0] in inside:  # not a lone node
+                key = part_of.get(held[k][0])
                 if key is not None:
                     break
                 inner.append(k)
@@ -444,18 +460,19 @@ def _split(g: Graph, shuffle: random.Random | None = None, upper: tuple | None =
     for entry in splits:
         x, _, parts = entry
         if parts is None:
-            spliced += _walk(masks, [(x, wants[x], PRIME)], wants, shuffle, labels[x] if labels else None)
+            spliced += _walk(masks, [(x, wants[x], PRIME)], wants, shuffle, _node_runs(labels[x]) if labels else None)
         else:
             spliced.append(entry)
     return spliced
 
 
-def _walk(masks: list[int], stack: list, wants: dict, shuffle: random.Random | None, labels=None, split: bool = True) -> list:
+def _walk(masks: list[int], stack: list, wants: dict, shuffle: random.Random | None, runs=None, split: bool = True) -> list:
     # ``_split``'s entries for the subtrees on ``stack``, the top first:
     # ``(x, want, above)`` per node of two or more vertices, with the want
     # ``_below`` gave it and what ``_scan`` may skip.  Unless ``split``, a
     # prime node is listed as ``(x, PRIME, None)``, its want in ``wants``.
-    # Prime nodes are split from ``labels`` when given, else by refinement.
+    # Prime nodes are split from ``runs`` (``_node_runs``) when given, else
+    # by refinement.
     splits = []
     while stack:
         x, want, above = stack.pop()
@@ -465,7 +482,7 @@ def _walk(masks: list[int], stack: list, wants: dict, shuffle: random.Random | N
                 splits.append((x, PRIME, None))
                 wants[x] = want
                 continue
-            parts = _prime_parts(masks, x, shuffle) if labels is None else _color_parts(masks, x, labels, shuffle)
+            parts = _prime_parts(masks, x, shuffle) if runs is None else _color_parts(masks, x, runs, shuffle)
         splits.append((x, kind, parts))
         stack += [(p, w, None if kind == PRIME else kind) for p, w in reversed(_below(masks, x, kind, parts, want))]
     return splits

@@ -111,9 +111,8 @@ class _Labels(NamedTuple):
     group: dict
     root: list
     inverse: dict
-    nodes: dict
     held: list
-    low: list
+    starts: list
 
 
 def _edge_classes(masks: list[int], x: int) -> _Labels:
@@ -133,23 +132,22 @@ def _edge_classes(masks: list[int], x: int) -> _Labels:
     in-edges, and ``inverse`` maps a class to its reverses'.  A component
     is one color, so ``root[2k] >> 1`` (its first node) is the color of
     node k's edges.  ``group`` has a key per vertex of x, in index order,
-    ``nodes[t]`` is the range of t's nodes, and node k holds the
-    co-component ``held[k]``, whose lowest vertex is ``low[k]``.  One mask
-    BFS per vertex and O(|E|) BFS steps.
+    node k holds the co-component ``held[k]``, its lowest vertex first, and
+    the nodes of the i-th vertex of ``group`` run from ``starts[i]`` to the
+    next vertex's start.  One mask BFS per vertex and O(|E|) BFS steps.
     """
     group: dict = {}
-    nodes: dict = {}
     owner: list[int] = []  # node -> its vertex
     held: list = []  # node -> the vertices of its co-component
-    low: list[int] = []
+    starts: list[int] = []  # vertex, in index order -> its first node
     for t in _bits(x):
         m = masks[t] & x  # the neighbours in x not yet reached
         of: dict = {}
         first = len(owner)
+        starts.append(first)
         while m:  # one co-component per round, from its lowest vertex
             k = len(owner)
             frontier = m & -m
-            low.append(frontier.bit_length() - 1)
             m ^= frontier
             while frontier:
                 b = frontier & -frontier
@@ -167,7 +165,6 @@ def _edge_classes(masks: list[int], x: int) -> _Labels:
                 lists[k - first].append(h)
             held += lists
         group[t] = of
-        nodes[t] = range(first, len(owner))
     # root[2k] is the class of node k's out-edges, 2s or 2s + 1 for the first
     # node s of its component, and root[2k + 1] that of its in-edges: the
     # other one.  An edge that leaves node k enters a node whose in-edges
@@ -194,7 +191,7 @@ def _edge_classes(masks: list[int], x: int) -> _Labels:
         for i in range(0, len(root), 2):
             if root[i] >> 1 in odd:
                 root[i] = root[i + 1] = root[i] & ~1
-    return _Labels(group, root, _reverse_classes(root), nodes, held, low)
+    return _Labels(group, root, _reverse_classes(root), held, starts)
 
 
 def _bits(x: int) -> Iterator[int]:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, compress, islice, permutations, repeat
+from itertools import accumulate, chain, combinations, compress, islice, permutations, repeat
 from math import factorial, prod
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .decomposition import PARALLEL, PRIME, SERIES, _blocks, _check_shuffle, _split, _upper
@@ -143,6 +143,8 @@ class _LiftPlan:
     Built from ``_analyze``'s nodes in their pre-order: each arc (i, j)
     takes a forward run of slots (child i to child j) and then a reverse
     run; a slot is the code ``t * n + h`` of an edge between vertex indices.
+    A series node's arcs, every pair i < j in ``_blocks``' order, are listed
+    here and in ``_verified_selector`` alone, which handle O(|E|) slots.
     An orientation is a byte selector over ``slots``, one piece per node in
     the same order: a series node gives, per arc, the bytes that select the
     run its permutation picks; a prime node gives one of two byte strings
@@ -164,7 +166,7 @@ class _LiftPlan:
         for kind, parts, arcs in nodes:
             members = [list(_bits(p)) for p in parts]
             pieces = []
-            for i, j in arcs:
+            for i, j in _arcs(kind, parts, arcs):
                 lay([t * n + h for t in members[i] for h in members[j]])
                 lay([h * n + t for h in members[j] for t in members[i]])
                 size = len(members[i]) * len(members[j])
@@ -174,6 +176,12 @@ class _LiftPlan:
                 canonical = b"".join([run[False] for _, _, run in pieces])
                 pieces = (canonical, canonical.translate(_FLIP))
             self.entries.append((kind, len(members), pieces))
+
+
+def _arcs(kind: str, parts: list[int], arcs: list | None) -> Iterable[tuple[int, int]]:
+    # A node's arcs from ``_analyze``: at a series node, which keeps none,
+    # every pair i < j in the order ``_blocks`` lists them.
+    return combinations(range(len(parts)), 2) if kind == SERIES else arcs
 
 
 def _series_piece(blocks: list, perm: Sequence[int]) -> bytes:
@@ -198,11 +206,13 @@ def _analyze(g: Graph, shuffle: random.Random | None = None) -> list[tuple] | No
     None ("false") at the first G[x] with a class that is its own reverse,
     before any prime split: no graph that induces G[x] is a comparability
     graph.  Otherwise ``(kind, parts, arcs)`` per series and prime node, in
-    pre-order: each child's vertex mask, and the joined child blocks
-    (``_blocks``, read off the representatives alone) directed, tail child
-    first, as the first orientation has them (i -> j with i < j at a series
-    node; the class of the first block, its smallest crossing edge, at a
-    prime node, whose blocks must all lie in it or its reverse).
+    pre-order: each child's vertex mask, and at a prime node its joined
+    child blocks (``_blocks``, read off the representatives alone)
+    directed, tail child first, as the first orientation has them (the
+    class of the first block, its smallest crossing edge, whose blocks must
+    all lie in it or its reverse).  A series node's arcs are None: they are
+    i -> j for every i < j, implied by its child list, so no series node
+    costs more than its k children here or in ``_verify``.
     ``_verify`` proves that orientation transitive, so "true" rests on a
     witness and only the count leans on the tree.  Lays out no slots and
     builds no orientation: the enumeration checks that its first selector
@@ -221,7 +231,7 @@ def _analyze(g: Graph, shuffle: random.Random | None = None) -> list[tuple] | No
     for x, kind, parts in splits:
         if kind == PARALLEL:
             continue
-        blocks = _blocks(masks, kind, parts)
+        blocks = None if kind == SERIES else _blocks(masks, kind, parts)
         if kind == PRIME:
             if x in labelled:  # a topmost prime node; the nested ones follow it
                 group, root, inverse, *_ = labelled[x]
@@ -245,21 +255,31 @@ def _verify(masks: list[int], splits: list, nodes: list) -> None:
     # in succ(t) for all t in child i and h in child j exactly when out(j)
     # lies in out(i): the rest of succ(h) is in child j, inside out(i), and
     # out(j) misses child i.  So each node's quotient must be transitive.
+    # A series node's arcs are every i -> j with i < j, so a child's out-set
+    # is the union of the later children and its in-set that of the earlier
+    # ones, O(k) unions for k children; out-sets that nest are transitive.
     n = len(masks)
     succ = [0] * n
     pred = [0] * n
     down = {(1 << n) - 1: (0, 0)}  # node -> the out- and in-masks its members inherit
-    arcs_of = iter(nodes)
+    arcs_of = (arcs for kind, _, arcs in nodes if kind == PRIME)
     transitive = True
     for x, kind, parts in splits:
         s, p = down.pop(x)
-        arcs = () if kind == PARALLEL else next(arcs_of)[2]
-        out = [s] * len(parts)
-        into = [p] * len(parts)
-        for i, j in arcs:
-            out[i] |= parts[j]
-            into[j] |= parts[i]
-        transitive = transitive and not any(out[j] & ~out[i] for i, j in arcs)
+        if kind == PARALLEL:
+            out, into = repeat(s), repeat(p)
+        elif kind == SERIES:
+            out = list(accumulate(reversed(parts[1:]), or_, initial=s))
+            out.reverse()
+            into = accumulate(parts, or_, initial=p)  # one more than the children
+        else:
+            arcs = next(arcs_of)
+            out = [s] * len(parts)
+            into = [p] * len(parts)
+            for i, j in arcs:
+                out[i] |= parts[j]
+                into[j] |= parts[i]
+            transitive = transitive and not any(out[j] & ~out[i] for i, j in arcs)
         for c, s, p in zip(parts, out, into):
             if c & (c - 1):
                 down[c] = (s, p)
@@ -330,9 +350,10 @@ def _decode(vertices: tuple, slots: list[int], sel: bytes) -> frozenset:
 
 def _verified_selector(nodes: list) -> bytes:
     # The selector of the orientation ``_verify`` proved, over the slot
-    # layout of ``_LiftPlan``: each arc's forward run and not its reverse.
+    # layout of ``_LiftPlan``: each arc's forward run and not its reverse,
+    # a series node's arcs listed as ``_LiftPlan`` lists them.
     runs: dict[int, bytes] = {}  # block size -> its forward run
-    sizes = [parts[i].bit_count() * parts[j].bit_count() for _, parts, arcs in nodes for i, j in arcs]
+    sizes = [parts[i].bit_count() * parts[j].bit_count() for kind, parts, arcs in nodes for i, j in _arcs(kind, parts, arcs)]
     return b"".join([runs.get(n) or runs.setdefault(n, b"\1" * n + b"\0" * n) for n in sizes])
 
 

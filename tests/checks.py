@@ -60,6 +60,26 @@ def random_tree(n: int, seed: int = 1) -> Graph:
     return Graph(range(n), [(draw.randrange(i), i) for i in range(1, n)])
 
 
+def relabelled_union(pieces: list[Graph], join: bool, seed: int) -> Graph:
+    # The disjoint union of the pieces (with ``join``, every vertex of one
+    # piece also adjacent to every vertex of the others), its vertex names a
+    # seeded permutation so that no piece is a run of consecutive names.
+    offsets, n = [], 0
+    for g in pieces:
+        offsets.append(n)
+        n += g.vertex_count
+    names = list(range(n))
+    random.Random(seed).shuffle(names)
+    edges = []
+    for g, base in zip(pieces, offsets):
+        index = g.index
+        edges += [(names[base + index[u]], names[base + index[v]]) for u, v in g.sorted_edges()]
+    if join:
+        bounds = offsets + [n]
+        edges += [(names[i], names[j]) for k in range(len(pieces)) for i in range(bounds[k], bounds[k + 1]) for j in range(bounds[k + 1], n)]
+    return Graph(names, edges)
+
+
 def balanced_cograph(depth: int) -> Graph:
     # Levels alternate disjoint union and join; the root is a join.
     n = 2 ** depth

@@ -338,6 +338,18 @@ def test_a_faulty_series_or_parallel_split_is_an_invariant_error(fx, monkeypatch
                 verb(g)
 
 
+def test_a_faulty_series_split_past_the_cover_walk_fails_the_witness(fx, monkeypatch):
+    # With the cover walk accepting any split, the paw's root splits into
+    # {b} and {a, c, d}, which are no modules.  The first orientation,
+    # proved from the series node's child list alone (b before the rest),
+    # then gives b the non-edge bd: the witness refuses it.
+    _corrupt_scans(monkeypatch, _swap)
+    monkeypatch.setattr(decomposition, "_below", lambda masks, x, kind, parts, want: [(p, want) for p in parts if p & (p - 1)])
+    for verb in LABELLING:
+        with pytest.raises(InvariantError, match="orientation does not cover each edge exactly once"):
+            verb(fx["paw"])
+
+
 @pytest.mark.parametrize(
     "parts, message",
     [

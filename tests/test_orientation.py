@@ -30,7 +30,7 @@ from transor import (
 from transor import cli, decomposition, forcing, orientation
 from transor.decomposition import PRIME, SERIES, DecompositionNode
 from transor.errors import OracleScaleError
-from transor.oracle import acceptance_corpus, complete_graph, fixtures, random_graph
+from transor.oracle import MAX_ORACLE_EDGES, acceptance_corpus, brute_force_orientations, complete_graph, fixtures, random_graph
 
 import checks
 
@@ -59,6 +59,65 @@ def test_fixture_counts(fx):
 def test_complete_graph_counts_are_factorials():
     for n in (1, 2, 5, 8):
         assert count_orientations(complete_graph(n)) == factorial(n)
+
+
+def _complete_multipartite(sizes: list[int]) -> Graph:
+    # One series node over k parts, each an edgeless child: k! orientations.
+    return checks.relabelled_union([Graph(range(s)) for s in sizes], True, len(sizes))
+
+
+def _joined_p4s(k: int) -> Graph:
+    # One series node over k prime children, each with two orientations.
+    return checks.relabelled_union([Graph("abcd", ["ab", "bc", "cd"])] * k, True, k)
+
+
+def _forest(sizes: list[int], seed: int) -> Graph:
+    # Seeded random trees side by side: each with an edge has two orientations.
+    return checks.relabelled_union([checks.random_tree(s, seed + i) for i, s in enumerate(sizes)], False, seed)
+
+
+WIDE = (
+    [(f"K{n}", complete_graph(n), factorial(n)) for n in (1, 2, 3, 6, 40, 150, 300)]
+    + [(f"{len(s)}-partite-{sum(s)}", _complete_multipartite(s), factorial(len(s))) for s in ([2, 1, 1, 2], [3, 3], [4, 1, 3, 1, 2] * 12)]
+    + [(f"{k}-joined-P4s", _joined_p4s(k), factorial(k) * 2**k) for k in (1, 2, 7, 30)]
+    + [(f"forest-{len(s)}-{sum(s)}", _forest(s, 1), 2 ** sum(t > 1 for t in s)) for s in ([1, 2, 3, 5, 4], [1, 1], [6] * 3, [1, 2, 7, 40, 300] * 8)]
+)
+
+
+@pytest.mark.parametrize("g, count", [case[1:] for case in WIDE], ids=[case[0] for case in WIDE])
+def test_counts_known_by_construction_on_wide_series_nodes_and_forests(g, count):
+    # K_n, complete k-partite graphs and joins of k P4s have one series node
+    # of n or k children; a forest is a parallel node over its trees.  The
+    # oracle confirms each graph small enough for it.
+    assert count_orientations(g) == count
+    assert is_comparability(g)
+    first = next(enumerate_orientations(g))
+    assert is_transitive(g, first) and orientation_at(g, 0) == first
+    assert orientation_at(g, count - 1).directed == {(h, t) for t, h in first.directed}
+    if g.edge_count <= MAX_ORACLE_EDGES:
+        assert len(brute_force_orientations(g)) == count
+
+
+def test_a_series_node_is_counted_and_verified_without_its_child_pairs(monkeypatch):
+    # A series node's arcs are every pair of its k children; the count, the
+    # verdict, a rank and the first enumerated orientation read its child
+    # list alone, and only the slot layout lists the k(k-1)/2 pairs.
+    blocks = orientation._blocks
+
+    def refuse_series(masks, kind, parts):
+        if kind == SERIES:
+            raise AssertionError("a series node's child pairs were listed")
+        return blocks(masks, kind, parts)
+
+    monkeypatch.setattr(orientation, "_blocks", refuse_series)
+    cases = [(complete_graph(60), factorial(60)), (_complete_multipartite([3, 1, 4, 1, 5]), factorial(5)), (_joined_p4s(6), factorial(6) * 2**6)]
+    for g, count in cases:
+        assert count_orientations(g) == count
+        assert is_comparability(g)
+        first = next(enumerate_orientations(g))
+        assert is_transitive(g, first)
+        assert orientation_at(g, 0) == first
+        assert orientation_at(g, count - 1).directed == {(h, t) for t, h in first.directed}
 
 
 def test_count_of_trivial_graphs():
@@ -239,10 +298,10 @@ def _merged_inner_colors(masks, x):
     labels = forcing._edge_classes(masks, x)
     root = labels.root
     touched: dict = {}  # color -> the vertices with an edge of it
-    for t, ks in labels.nodes.items():
-        for k in ks:
+    for t, of in labels.group.items():
+        for k in of.values():
             touched.setdefault(root[2 * k] >> 1, set()).add(t)
-    inner = {c for c, ts in touched.items() if len(ts) < len(labels.nodes)}
+    inner = {c for c, ts in touched.items() if len(ts) < len(labels.group)}
     into = min(inner)
     root = [2 * into | r & 1 if r >> 1 in inner else r for r in root]
     return labels._replace(root=root, inverse=forcing._reverse_classes(root))
@@ -490,8 +549,6 @@ def test_prime_node_with_composite_children_lifts_blockwise():
     assert frozenset(["b1", "b2"]) in {c.vertex_set for c in tree.children}
     stream = list(enumerate_orientations(g))
     assert count_orientations(g) == len(stream)
-    from transor.oracle import brute_force_orientations
-
     assert set(stream) == set(brute_force_orientations(g))
     for o in stream:
         outward = o.direction_of("a", "b1")[0] == "a"
