@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, InvariantError
 from .graph import Graph, _check_graph, mask_components
@@ -253,19 +253,9 @@ def _prime_parts(masks: list[int], x: int, shuffle: random.Random | None) -> lis
     return family
 
 
-def _node_runs(labels) -> tuple:
-    # What ``_color_parts`` reads of the labels of a topmost prime node y
-    # (``forcing._edge_classes``), built once per such node and only on the
-    # path that splits it by color, so ``color_classes`` pays for none of
-    # it: the class of each knotting node's out-edges, its co-component,
-    # and the range of each vertex's nodes.
-    starts, held = labels.starts, labels.held
-    return labels.root, held, dict(zip(labels.group, map(range, starts, starts[1:] + [len(held)])))
-
-
 def _color_parts(masks: list[int], x: int, runs: tuple, shuffle: random.Random | None) -> list[int]:
     # The children of the prime node x, from the labels of G[y] for its
-    # topmost prime ancestor y, as ``_node_runs`` gives them.  The edges
+    # topmost prime ancestor y, as ``_color_split`` gives them.  The edges
     # between x's children are one color, the only one whose span is x
     # (Gallai 1967): every other color of G[x] lies inside a child, and the
     # colors of G[y] on the edges inside the module x are G[x]'s own.  So
@@ -435,54 +425,55 @@ def quotient(g: Graph, partition) -> Graph:
     return Graph(reps, edges)
 
 
-def _upper(g: Graph) -> tuple[list[tuple[int, str, list[int] | None]], dict[int, int]]:
+def _upper(g: Graph) -> list[tuple[int, str, list[int] | int]]:
     # ``_split``'s entries down to the topmost prime nodes (prime nodes with
     # no prime ancestor), in pre-order, each such x listed as ``(x, PRIME,
-    # None)``: scanned but unsplit.  Also the want (see ``_below``) that each
-    # such x's split starts from, by its mask.
+    # want)``: scanned but unsplit, with the want (see ``_below``) that its
+    # split starts from.
     full = (1 << g.vertex_count) - 1
-    wants: dict[int, int] = {}
-    return _walk(g.adjacency_masks(), [(full, 0, None)] if full & (full - 1) else [], wants, None, split=False), wants
+    return _walk(g.adjacency_masks(), [(full, 0, None)] if full & (full - 1) else [], None)
 
 
-def _split(g: Graph, shuffle: random.Random | None = None, upper: tuple | None = None, labels: dict | None = None) -> list[tuple[int, str, list[int]]]:
-    # The one place the graph is split: ``(x, kind, parts)`` host masks per
-    # internal node of the tree, in pre-order (children in order), proved by
-    # ``_below``'s cover walk.  A singleton part is a leaf and has no entry.
-    # Each topmost prime node of ``upper`` (``_upper(g)`` when not given)
-    # has its subtree spliced in, after every node above it is split.  The
-    # prime nodes below a topmost prime node with labels (in ``labels``, by
-    # its mask) are split by color, the others by refinement: labelling a
-    # dense prime node costs more than refining it.
-    splits, wants = upper or _upper(g)
-    masks = g.adjacency_masks()
+def _split(g: Graph, shuffle: random.Random | None = None) -> list[tuple[int, str, list[int]]]:
+    # The graph split by refinement, which costs less than labelling a dense
+    # prime node: ``(x, kind, parts)`` host masks per internal node of the
+    # tree, in pre-order (children in order), proved by ``_below``'s cover
+    # walk.  A singleton part is a leaf and has no entry.
+    full, masks = (1 << g.vertex_count) - 1, g.adjacency_masks()
+    return _walk(masks, [(full, 0, None)] if full & (full - 1) else [], lambda x: _prime_parts(masks, x, shuffle))
+
+
+def _color_split(masks: list[int], upper: list, labels: dict, shuffle: random.Random | None) -> list[tuple[int, str, list[int]]]:
+    # ``_split``'s entries, every prime node split by color: each topmost
+    # prime node x of ``upper`` (``_upper``'s) has its subtree spliced in,
+    # after every node above it is split, read off ``labels[x]``
+    # (``forcing._edge_classes`` of G[x]) and the range of each vertex's nodes.
     spliced = []
-    for entry in splits:
-        x, _, parts = entry
-        if parts is None:
-            spliced += _walk(masks, [(x, wants[x], PRIME)], wants, shuffle, _node_runs(labels[x]) if labels else None)
+    for entry in upper:
+        x, kind, want = entry
+        if kind == PRIME:
+            group, root, _, held, starts = labels[x]
+            runs = root, held, dict(zip(group, map(range, starts, starts[1:] + [len(held)])))
+            spliced += _walk(masks, [(x, want, PRIME)], lambda y: _color_parts(masks, y, runs, shuffle))
         else:
             spliced.append(entry)
     return spliced
 
 
-def _walk(masks: list[int], stack: list, wants: dict, shuffle: random.Random | None, runs=None, split: bool = True) -> list:
+def _walk(masks: list[int], stack: list, split: Callable[[int], list[int]] | None) -> list:
     # ``_split``'s entries for the subtrees on ``stack``, the top first:
     # ``(x, want, above)`` per node of two or more vertices, with the want
-    # ``_below`` gave it and what ``_scan`` may skip.  Unless ``split``, a
-    # prime node is listed as ``(x, PRIME, None)``, its want in ``wants``.
-    # Prime nodes are split from ``runs`` (``_node_runs``) when given, else
-    # by refinement.
+    # ``_below`` gave it and what ``_scan`` may skip.  ``split(x)`` gives a
+    # prime node's parts; with no ``split``, x is listed as ``(x, PRIME, want)``.
     splits = []
     while stack:
         x, want, above = stack.pop()
         kind, parts = _scan(masks, x, above)
         if parts is None:
-            if not split:
-                splits.append((x, PRIME, None))
-                wants[x] = want
+            if split is None:
+                splits.append((x, PRIME, want))
                 continue
-            parts = _prime_parts(masks, x, shuffle) if runs is None else _color_parts(masks, x, runs, shuffle)
+            parts = split(x)
         splits.append((x, kind, parts))
         stack += [(p, w, None if kind == PRIME else kind) for p, w in reversed(_below(masks, x, kind, parts, want))]
     return splits

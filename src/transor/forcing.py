@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterator, NamedTuple
 
-from .decomposition import SERIES, _upper
+from .decomposition import PRIME, SERIES, _upper
 from .errors import DomainError, InvariantError
 from .graph import Graph, _check_graph, _pair, spanned_vertices
 
@@ -221,19 +221,28 @@ def color_classes(g: Graph) -> ColorMap:
     Gallai (1967): each color is one joined child block of a series node,
     directed from the earlier child to the later, or lies inside a prime
     node.  So ``_upper`` walks down to the topmost prime nodes (prime nodes
-    with no prime ancestor) and splits none, and the colors are the series
-    blocks it lists and, for each such x, G[x] as ``_edge_classes`` labels
-    it; a cograph runs no labelling.  Colors are numbered by their smallest
+    with no prime ancestor), splits none, and ``_color_map`` reads its list;
+    a cograph runs no labelling.  Colors are numbered by their smallest
     edge, and each forward half is the class of that edge, in vertex order.
     """
     _check_graph(g)
+    return _color_map(g, _upper(g))
+
+
+def _color_map(g: Graph, splits: list) -> ColorMap:
+    # The colors off a pre-order split list, ``_upper``'s or a full one: the
+    # series blocks above the topmost prime nodes, and G[x] for each such x.
     vs, masks = g.vertices, g.adjacency_masks()
     n = len(vs)
     # Per color: the code t * n + h of its smallest edge (t, h), its forward
     # half, and its edges as (smaller, larger) pairs.
     found = []
-    for x, kind, parts in _upper(g)[0]:
-        if parts is None:  # a topmost prime node, unsplit
+    labelled = 0  # the topmost prime node labelled last
+    for x, kind, parts in splits:
+        if x & labelled:  # in pre-order, a later entry that meets it lies inside it
+            continue
+        if kind == PRIME:
+            labelled = x
             found += _prime_colors(vs, masks, x)
         elif kind == SERIES:
             names = [g.vertex_list(p) if p & (p - 1) else [vs[p.bit_length() - 1]] for p in parts]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .decomposition import PARALLEL, SERIES, DecompositionNode, _blocks, _splits_of, is_strong_module
 from .errors import DomainError, InvariantError
-from .forcing import ColorClass, ColorMap, color_classes
+from .forcing import ColorClass, ColorMap, _color_map, color_classes
 from .graph import Graph, _check_graph
 
 
@@ -49,15 +49,16 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
     A joined child block of a series node is one color, and so are all the
     blocks of a prime node (Gallai 1967), so each such color is read once,
     at its representatives' edge; a node whose children are all single
-    vertices reads each edge, one block apiece.  The node masks are the ones
-    ``tree`` was assembled from.  ``DomainError`` unless ``tree`` is the
-    tree ``decomposition_tree`` returned for g or for a graph equal to it,
-    and when ``cmap`` is the color map of another graph.
+    vertices reads each edge, one block apiece.  The node masks, and with no
+    ``cmap`` the colors, are read off the split list ``tree`` was assembled
+    from: no scan, cover walk or prime split runs again.  ``DomainError``
+    unless ``tree`` is the tree ``decomposition_tree`` returned for g or for
+    a graph equal to it, and when ``cmap`` is the color map of another graph.
     """
     _check_graph(g)
     splits = _splits_of(g, tree)
     if cmap is None:
-        cmap = color_classes(g)
+        cmap = _color_map(g, splits)
     _check_map(g, cmap)
     edge_color = cmap.edge_to_color
     vs, masks = g.vertices, g.adjacency_masks()

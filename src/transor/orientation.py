@@ -17,7 +17,7 @@ from math import factorial, prod
 from operator import itemgetter, or_
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .decomposition import PARALLEL, PRIME, SERIES, _blocks, _check_shuffle, _split, _upper
+from .decomposition import PARALLEL, PRIME, SERIES, _blocks, _check_shuffle, _color_split, _upper
 from .errors import DomainError, InvariantError
 from .forcing import _bits, _edge_classes
 from .graph import Graph, _check_graph, _pair
@@ -195,38 +195,36 @@ def _analyze(g: Graph, shuffle: random.Random | None = None) -> list[tuple] | No
     """The one analysis behind the verdict, the count and the enumeration.
 
     ``_upper`` walks the tree down to its topmost prime nodes (prime nodes
-    with no prime ancestor), ``_edge_classes`` then labels G[x] for each
-    such x, and only then does ``_split`` split the prime nodes: series and
-    parallel nodes leave no forcing choice (Gallai 1967), so a cograph runs
-    none.  The classes of G on the edges inside a module are the module's
-    own, so a nested prime node reads its topmost ancestor's labels, and
-    ``_split`` splits every prime node from them, by the one color whose
-    span is the node (``decomposition._color_parts``), not by refinement.
+    with no prime ancestor) and ``_edge_classes`` labels G[x] for each such
+    x: series and parallel nodes leave no forcing choice (Gallai 1967), so
+    a cograph runs none.  Only then does ``_color_split`` splice in their
+    subtrees, each prime node split by the one color whose span is the node
+    (``decomposition._color_parts``), from its topmost ancestor's labels:
+    the classes of G on the edges inside a module are the module's own.
 
     None ("false") at the first G[x] with a class that is its own reverse,
     before any prime split: no graph that induces G[x] is a comparability
     graph.  Otherwise ``(kind, parts, arcs)`` per series and prime node, in
     pre-order: each child's vertex mask, and at a prime node its joined
-    child blocks (``_blocks``, read off the representatives alone)
-    directed, tail child first, as the first orientation has them (the
-    class of the first block, its smallest crossing edge, whose blocks must
-    all lie in it or its reverse).  A series node's arcs are None: they are
-    i -> j for every i < j, implied by its child list, so no series node
-    costs more than its k children here or in ``_verify``.
-    ``_verify`` proves that orientation transitive, so "true" rests on a
-    witness and only the count leans on the tree.  Lays out no slots and
-    builds no orientation: the enumeration checks that its first selector
-    picks these arcs, and the selectors after it, like
-    ``orientation_at``'s, are lifted unchecked."""
+    child blocks (``_blocks``, read off the representatives alone) directed,
+    tail child first, as the first orientation has them (the class of the
+    first block, its smallest crossing edge, whose blocks must all lie in it
+    or its reverse).  A series node's arcs are None: they are i -> j for
+    every i < j, implied by its child list, so no series node costs more
+    than its k children here or in ``_verify``.  ``_verify`` proves that
+    orientation transitive, so "true" rests on a witness and only the count
+    leans on the tree.  Lays out no slots and builds no orientation: the
+    enumeration checks that its first selector picks these arcs, and the
+    selectors after it, like ``orientation_at``'s, are lifted unchecked."""
     masks = g.adjacency_masks()
     upper = _upper(g)
     labelled = {}  # topmost prime node -> its labels
-    for x, _, parts in upper[0]:
-        if parts is None:
+    for x, kind, _ in upper:
+        if kind == PRIME:
             labelled[x] = _edge_classes(masks, x)
             if any(c == r for c, r in labelled[x][2].items()):  # a class that is its own reverse
                 return None
-    splits = _split(g, shuffle, upper, labelled)
+    splits = _color_split(masks, upper, labelled, shuffle)
     nodes = []
     for x, kind, parts in splits:
         if kind == PARALLEL:
@@ -393,11 +391,12 @@ def enumerate_orientations(
     Nodes are visited in tree pre-order; series permutations run in
     lexicographic order of child representatives and prime nodes emit the
     canonical half before its reverse; the k-th is ``orientation_at(g, k)``.
-    A non-comparability graph yields an empty stream.  The cartesian product is generated lazily, so a ``limit``
-    makes even astronomically large spaces cheap.  Each orientation is its
-    selector over output tables built once after the analysis, and none is
-    sorted.  ``DomainError`` unless ``limit`` is None or an int and
-    ``shuffle`` None or a ``random.Random``.
+    A non-comparability graph yields an empty stream.  The cartesian
+    product is generated lazily, so a ``limit`` makes even astronomically
+    large spaces cheap.  Each orientation is its selector over output tables
+    built once after the analysis, and none is sorted.  ``DomainError``
+    unless ``limit`` is None or an int and ``shuffle`` None or a
+    ``random.Random``.
     """
     _check_graph(g)
     _check_shuffle(shuffle)

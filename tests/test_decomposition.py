@@ -262,19 +262,23 @@ def test_prime_nodes_split_by_color_as_by_refinement():
     # With the labels of each topmost prime node, every prime node below it
     # is split by its spanning color; the split list is the refinement's,
     # entry by entry, also under shuffled reading orders, and the count is
-    # the one its nodes give.
+    # the one its nodes give.  The colors read off that full list are the
+    # ones ``color_classes`` reads off the list that stops at the topmost
+    # prime nodes.
     graphs = _label_graphs()
     assert len(graphs) == 485
     for g in graphs:
         masks = g.adjacency_masks()
         upper = decomposition._upper(g)
-        labels = {x: forcing._edge_classes(masks, x) for x, _, parts in upper[0] if parts is None}
+        labels = {x: forcing._edge_classes(masks, x) for x, kind, _ in upper if kind == PRIME}
         refined = decomposition._split(g)
         for seed in (None, 0, 1, 2):
-            assert decomposition._split(g, seed if seed is None else random.Random(seed), upper, labels) == refined
+            assert decomposition._color_split(masks, upper, labels, seed if seed is None else random.Random(seed)) == refined
         comparable = not any(c == r for found in labels.values() for c, r in found.inverse.items())
         radices = [factorial(len(parts)) if kind == SERIES else 2 for _, kind, parts in refined if kind != PARALLEL]
         assert count_orientations(g) == comparable * prod(radices)
+        read, cmap = forcing._color_map(g, refined), color_classes(g)
+        assert read.colors == cmap.colors and read.edge_to_color == cmap.edge_to_color
 
 
 # Every verb that splits the graph: the split is proved on each path.  The
@@ -406,7 +410,7 @@ def test_one_scan_per_node_and_no_module_closure(g, monkeypatch):
     scans = []
     monkeypatch.setattr(decomposition, "mask_components", lambda *args, **kw: scans.append(1) or real(*args, **kw))
     monkeypatch.setattr(decomposition, "_close_seed", None)  # any call fails
-    for verb in (count_orientations, decomposition_tree, color_classes):
+    for verb in (count_orientations, decomposition_tree, color_classes, lambda g: multiplex_partition(g, decomposition_tree(g))):
         scans.clear()
         verb(g)
         assert 0 < len(scans) <= internal + 1, verb

@@ -216,16 +216,19 @@ _READ_GRAPHS = [g for _, g in acceptance_corpus() if g.vertex_count] + [
 
 
 def test_the_partition_reads_the_split_the_tree_was_built_from(monkeypatch):
-    # Once the tree is built, no scan, prime split or cover walk runs again.
+    # Once the tree is built, no scan, prime split or cover walk runs again,
+    # with a color map or without one: then the colors come off the same
+    # split list.
     cases = [(g, decomposition_tree(g), color_classes(g)) for g in _READ_GRAPHS]
     expected = [multiplex_partition(*case) for case in cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the graph was split again")
 
-    for name in ("_below", "mask_components", "_prime_parts"):
+    for name in ("_below", "mask_components", "_prime_parts", "_color_parts"):
         monkeypatch.setattr(decomposition, name, refuse)
     assert [multiplex_partition(*case) for case in cases] == expected
+    assert [multiplex_partition(g, tree) for g, tree, _ in cases] == expected
 
 
 def test_node_paths_follow_the_tree_pre_order():
