@@ -15,8 +15,8 @@ the decomposition tree are labelled.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from dataclasses import dataclass
+from itertools import combinations, permutations, product, repeat
 from typing import Iterator, NamedTuple
 
 from .decomposition import PRIME, SERIES, _upper
@@ -24,7 +24,23 @@ from .errors import DomainError, InvariantError
 from .graph import Graph, _check_graph, _pair, spanned_vertices
 
 
-@dataclass(frozen=True)
+class _Colors(NamedTuple):
+    # A graph's colors as mask blocks over the host index, shared by a map
+    # of ``color_classes`` and its colors: ``blocks[i]`` is color i's
+    # forward half as a flat sequence tails, heads, tails, heads, ... of
+    # vertex masks, each pair the edges from every tail to every head (a
+    # series color is one pair of children, a prime color one pair
+    # (1 << t, heads) per knotting-graph node of its forward half);
+    # ``loops`` holds the self-inverse ids, and ``ids`` maps the code
+    # lo * n + hi of each series color's smallest edge and of each edge
+    # inside a topmost prime node to its color.
+    vertices: tuple
+    blocks: list
+    loops: frozenset
+    ids: dict
+
+
+@dataclass(init=False, unsafe_hash=True)
 class ColorClass:
     """One color: an implication class paired with its reverse, stored as one half.
 
@@ -32,10 +48,29 @@ class ColorClass:
     edge of the color (the canonical orientation used everywhere downstream);
     for a self-inverse class it holds both directions.  ``reverse``,
     ``undirected``, ``span`` and ``self_inverse`` are read off it per call.
-    """
+    A color of ``color_classes`` holds its map's mask blocks instead, and
+    ``forward`` is decoded from them on its first read and then kept."""
 
-    id: int
+    __slots__ = ("_id", "_forward")
+    id: int  # the two fields, which eq, hash and repr read: the properties below
     forward: frozenset
+
+    def __init__(self, id: int, forward: frozenset):
+        self._id, self._forward = id, forward
+
+    @property
+    def id(self) -> int:
+        return self._id
+
+    @property
+    def forward(self) -> frozenset:
+        f = self._forward
+        if type(f) is _Colors:
+            f = self._forward = frozenset(_decode(f.vertices, f.blocks[self._id]))
+        return f
+
+    def __reduce__(self) -> tuple:
+        return ColorClass, (self.id, self.forward)
 
     @property
     def reverse(self) -> frozenset:
@@ -53,22 +88,47 @@ class ColorClass:
     @property
     def self_inverse(self) -> bool:
         # A class and its reverse are equal or disjoint, so one edge decides.
-        for t, h in self.forward:
-            return (h, t) in self.forward
+        forward = self.forward
+        for t, h in forward:
+            return (h, t) in forward
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False)
 class ColorMap:
     """The colors of a graph, ``colors[i].id == i``, and its edge-to-color index.
 
     ``edge_to_color`` maps each edge, as its (smaller, larger) pair by vertex
-    order, to the id of its color.
-    """
+    order, to the id of its color.  A map of ``color_classes`` builds it
+    from the colors' forward halves on its first read and then keeps it."""
 
-    graph: Graph
+    __slots__ = ("_graph", "_colors", "_edge_to_color", "_table")
+    graph: Graph  # the three fields, which eq reads: the properties below
     colors: tuple[ColorClass, ...]
-    edge_to_color: dict = field(repr=False)
+    edge_to_color: dict
+
+    def __init__(self, graph: Graph, colors: tuple, edge_to_color: dict):
+        self._graph, self._colors, self._edge_to_color, self._table = graph, colors, edge_to_color, None
+
+    @property
+    def graph(self) -> Graph:
+        return self._graph
+
+    @property
+    def colors(self) -> tuple:
+        return self._colors
+
+    @property
+    def edge_to_color(self) -> dict:
+        if self._edge_to_color is None:  # a pair in vertex order is its own key
+            self._edge_to_color = {e if e[0] < e[1] else (e[1], e[0]): cid for cid, c in enumerate(self._colors) for e in c.forward}
+        return self._edge_to_color
+
+    def __repr__(self) -> str:
+        return f"ColorMap(graph={self.graph!r}, colors={self.colors!r})"
+
+    def __reduce__(self) -> tuple:
+        return ColorMap, (self.graph, self.colors, self.edge_to_color)
 
     def color_of(self, u, v=None) -> int:
         """The id of the color of edge uv, given as two vertices or one pair.
@@ -85,6 +145,18 @@ class ColorMap:
         if cid is None:
             raise DomainError(f"({u!r}, {v!r}) is not an edge of the graph")
         return cid
+
+
+def _decode(vertices: tuple, blocks) -> list[tuple]:
+    # The directed edges of a color's flat mask blocks (see ``_Colors``),
+    # as vertex pairs: the one reader of blocks that builds edges.
+    if len(blocks) == 2 and not (blocks[0] & (blocks[0] - 1) or blocks[1] & (blocks[1] - 1)):
+        return [(vertices[blocks[0].bit_length() - 1], vertices[blocks[1].bit_length() - 1])]  # one edge, as in K_n
+    out = []
+    pairs = iter(blocks)
+    for tails, heads in zip(pairs, pairs):
+        out += product([vertices[t] for t in _bits(tails)], [vertices[h] for h in _bits(heads)])
+    return out
 
 
 def directly_forces(e1: tuple, e2: tuple, g: Graph) -> bool:
@@ -194,12 +266,14 @@ def _edge_classes(masks: list[int], x: int) -> _Labels:
     return _Labels(group, root, _reverse_classes(root), held, starts)
 
 
-def _bits(x: int) -> Iterator[int]:
+def _bits(x: int) -> list[int]:
     # The vertex indices of the mask x, ascending.
+    out = []
     while x:
         b = x & -x
-        yield b.bit_length() - 1
+        out.append(b.bit_length() - 1)
         x ^= b
+    return out
 
 
 def _reverse_classes(root: list[int]) -> dict:
@@ -221,68 +295,82 @@ def color_classes(g: Graph) -> ColorMap:
     Gallai (1967): each color is one joined child block of a series node,
     directed from the earlier child to the later, or lies inside a prime
     node.  So ``_upper`` walks down to the topmost prime nodes (prime nodes
-    with no prime ancestor), splits none, and ``_color_map`` reads its list;
-    a cograph runs no labelling.  Colors are numbered by their smallest
-    edge, and each forward half is the class of that edge, in vertex order.
+    with no prime ancestor), splits none, and ``_color_table`` reads its
+    list; a cograph runs no labelling.  Colors are numbered by their
+    smallest edge, and each forward half is the class of that edge, in
+    vertex order.  The colors hold their halves as mask blocks, and no
+    edge is built before ``forward`` or ``edge_to_color`` is read.
     """
     _check_graph(g)
     return _color_map(g, _upper(g))
 
 
 def _color_map(g: Graph, splits: list) -> ColorMap:
+    # The map over ``_color_table``'s blocks, for a split list as there.
+    table = _color_table(g, splits)
+    cmap = ColorMap(g, tuple(map(ColorClass, range(len(table.blocks)), repeat(table))), None)
+    cmap._table = table
+    return cmap
+
+
+def _color_table(g: Graph, splits: list) -> _Colors:
     # The colors off a pre-order split list, ``_upper``'s or a full one: the
     # series blocks above the topmost prime nodes, and G[x] for each such x.
-    vs, masks = g.vertices, g.adjacency_masks()
-    n = len(vs)
-    # Per color: the code t * n + h of its smallest edge (t, h), its forward
-    # half, and its edges as (smaller, larger) pairs.
-    found = []
+    # A joined block (i, j) of a series node is one color: its forward half
+    # is child i -> child j, and its smallest edge joins their lowest vertices.
+    masks = g.adjacency_masks()
+    n = len(masks)
+    found = {}  # per color: the code t * n + h of its smallest edge (t, h) -> its blocks
+    inner = []  # per color of a prime node: that code, and the codes of its edges
+    loops = []  # the codes of the self-inverse colors' smallest edges
     labelled = 0  # the topmost prime node labelled last
     for x, kind, parts in splits:
         if x & labelled:  # in pre-order, a later entry that meets it lies inside it
             continue
         if kind == PRIME:
             labelled = x
-            found += _prime_colors(vs, masks, x)
+            _prime_colors(masks, x, found, inner, loops)
         elif kind == SERIES:
-            names = [g.vertex_list(p) if p & (p - 1) else [vs[p.bit_length() - 1]] for p in parts]
             low = [(p & -p).bit_length() - 1 for p in parts]
-            for i, j in combinations(range(len(parts)), 2):
-                half = [(u, v) for u in names[i] for v in names[j]]
-                if names[i][-1] < names[j][0]:  # child i wholly precedes child j
-                    edges = half
-                else:
-                    edges = [e if e[0] < e[1] else (e[1], e[0]) for e in half]
-                found.append((low[i] * n + low[j], half, edges))
-    found.sort()  # by smallest edge: no two colors share one
-    edge_to_color = {e: cid for cid, (_, _, edges) in enumerate(found) for e in edges}
-    colors = tuple(ColorClass(cid, frozenset(half)) for cid, (_, half, _) in enumerate(found))
-    return ColorMap(graph=g, colors=colors, edge_to_color=edge_to_color)
+            found.update({a * n + b: (p, q) for (a, p), (b, q) in combinations(zip(low, parts), 2)})
+    codes = sorted(found)  # by smallest edge: no two colors share one
+    ids = dict(zip(codes, range(len(codes))))
+    for code, edges in inner:
+        ids.update(dict.fromkeys(edges, ids[code]))
+    return _Colors(g.vertices, list(map(found.__getitem__, codes)), frozenset(map(ids.__getitem__, loops)), ids)
 
 
-def _prime_colors(vs: tuple, masks: list[int], x: int) -> list[tuple]:
-    # ``color_classes``'s entries for the colors of G[x]: its edges are read
-    # in vertex order, so a color is met first at its smallest edge, whose
-    # class is its forward half.
-    group, root, inverse, *_ = _edge_classes(masks, x)
-    n = len(vs)
-    halves: dict = {}  # class -> (its color's entry, its edges, or None for a reverse half)
-    found = []
-    for t, of in group.items():
-        for h in sorted(of):
-            c = root[2 * of[h]]
-            if c not in halves:  # a new color, whose forward half is c
-                entry = (t * n + h, [], [])
-                halves[inverse[c]] = (entry, None)
-                halves[c] = (entry, entry[1])  # after the reverse: a self-inverse class keeps its edges
-                found.append(entry)
-            entry, half = halves[c]
-            e = (vs[t], vs[h])
-            if half is not None:
-                half.append(e)
-            if t < h:
-                entry[2].append(e)
-    return found
+def _prime_colors(masks: list[int], x: int, found: dict, inner: list, loops: list) -> None:
+    # ``_color_table``'s entries for the colors of G[x].  Tails come in
+    # index order and a tail's nodes (see ``_edge_classes``) by their lowest
+    # vertex, so a color is met first at its smallest edge (t, h), and the
+    # class of that node is its forward half: a block (1 << t, heads) per
+    # node in it.  A reverse node's edges join only the color's codes.
+    group, root, inverse, held, starts = _edge_classes(masks, x)
+    n = len(masks)
+    colors: dict = {}  # class -> its color's blocks (None for a reverse half) and codes
+    for (t, of), first, last in zip(group.items(), starts, starts[1:] + [len(held)]):
+        base = t * n
+        for k in range(first, last):
+            hs, c = held[k], root[2 * k]
+            entry = colors.get(c)
+            if entry is None:  # a new color, whose forward half is c
+                code = base + next(iter(hs))
+                entry = [], []
+                found[code] = entry[0]
+                inner.append((code, entry[1]))
+                if inverse[c] == c:
+                    loops.append(code)
+                colors[inverse[c]] = None, entry[1]
+                colors[c] = entry  # after the reverse: a self-inverse class keeps its blocks
+            blocks, codes = entry
+            heads = 0
+            for h in hs:
+                heads |= 1 << h
+                if h > t:
+                    codes.append(base + h)
+            if blocks is not None:
+                blocks += 1 << t, heads
 
 
 def is_comparability(g: Graph) -> bool:

@@ -164,7 +164,7 @@ class _LiftPlan:
         lay, n = self.slots.extend, g.vertex_count
         runs: dict[int, tuple[bytes, bytes]] = {}  # block size -> its two run selectors
         for kind, parts, arcs in nodes:
-            members = [list(_bits(p)) for p in parts]
+            members = list(map(_bits, parts))
             pieces = []
             for i, j in _arcs(kind, parts, arcs):
                 lay([t * n + h for t in members[i] for h in members[j]])

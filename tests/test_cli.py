@@ -6,16 +6,17 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from transor import decomposition, decomposition_tree, orientation
+from transor import color_classes, decomposition, decomposition_tree, multiplex_partition, orientation
 from transor.cli import main
 from transor.io import parse_graph
-from transor.oracle import acceptance_corpus, path_graph
+from transor.oracle import acceptance_corpus, complete_graph, cycle_graph, implication_classes, path_graph
 
-from checks import balanced_cograph, substitution_graph, threshold_graph
+from checks import balanced_cograph, random_poset_graph, substitution_graph, threshold_graph
 
 PAW = "a b\na c\na d\nb c\n"
 C5 = "a b\nb c\nc d\nd e\ne a\n"
@@ -201,6 +202,60 @@ def test_colors_json(write, capsys):
     assert len(data["colors"]) == 2
     assert data["colors"][0]["span"] == ["a", "b", "c", "d"]
     assert data["colors"][1]["edges"] == [["b", "c"]]
+
+
+def _edge_text(g) -> str:
+    return "".join(f"vertex {v}\n" for v in g.vertices) + "".join(f"{u} {v}\n" for u, v in g.sorted_edges())
+
+
+def _colors_by_definition(g) -> list:
+    # The ``colors`` payload from the implication classes themselves: a
+    # color's forward half is the class of its smallest directed edge, and
+    # the colors are numbered by that edge.
+    forward = {}
+    for a in implication_classes(g):
+        first = min(a | {(h, t) for t, h in a})
+        if first in a:
+            forward[first] = a
+    return [
+        {
+            "id": i,
+            "edges": [[str(u), str(v)] for u, v in sorted({(t, h) if t < h else (h, t) for t, h in forward[k]})],
+            "span": [str(v) for v in sorted({v for e in forward[k] for v in e})],
+            "self_inverse": all((h, t) in forward[k] for t, h in forward[k]),
+        }
+        for i, k in enumerate(sorted(forward))
+    ]
+
+
+def test_colors_and_multiplexes_print_the_decoded_fields_past_oracle_scale(write, capsys):
+    # The verbs write from mask blocks and code runs; their bytes are those
+    # of the decoded colors and the sorted edge sets, and the colors those
+    # of the implication classes.
+    graphs = [path_graph(4), cycle_graph(5), complete_graph(24), threshold_graph(40), balanced_cograph(6)]
+    graphs += [random_poset_graph(40, Fraction(1, 10), 1), threshold_graph(120), balanced_cograph(7)]
+    for i, base in enumerate([parse_graph(PAW).graph] + graphs):
+        text = _edge_text(base)
+        g = parse_graph(text).graph
+        path = write(f"g{i}.edges", text)
+        _, out, _ = run(capsys, "colors", path)
+        payload = [
+            {
+                "id": c.id,
+                "edges": [[str(u), str(v)] for u, v in sorted(c.undirected)],
+                "span": [str(v) for v in sorted(c.span)],
+                "self_inverse": c.self_inverse,
+            }
+            for c in color_classes(g).colors
+        ]
+        assert payload == _colors_by_definition(g)
+        assert out == json.dumps({"colors": payload}, separators=(",", ":")) + "\n"
+        _, out, _ = run(capsys, "multiplexes", path)
+        parts = multiplex_partition(g, decomposition_tree(g))
+        assert [m.to_json_dict()["edges"] for m in parts] == [[[str(u), str(v)] for u, v in sorted(m.edges)] for m in parts]
+        written = [{"node_path": list(m.node_path), "rank": m.rank, "colors": sorted(m.colors),
+                    "edges": [[str(u), str(v)] for u, v in sorted(m.edges)]} for m in parts]
+        assert out == json.dumps({"multiplexes": written}, separators=(",", ":")) + "\n"
 
 
 def test_verify_verdicts(write, capsys):

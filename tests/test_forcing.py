@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 from transor import (
+    ColorClass,
+    ColorMap,
     DomainError,
     check_triangle_lemma,
     color_classes,
@@ -268,17 +272,76 @@ def test_triangle_checker_reports_merged_colors(fx, monkeypatch):
 
 
 def test_a_color_map_retains_one_half_per_color_and_its_edge_index():
-    # K120 has 7140 edges and a color per edge; four edge sets per color took 8 MB.
+    # K120 has 7140 edges and a color per edge; four edge sets per color took
+    # 8 MB.  Unread, the map holds a block pair, a color and a code index
+    # entry per color: 1.64 MB measured, bounded at 2 MB (a 20 % margin).
+    # With every forward half and the edge index read, 3.95 MB measured.
     g = complete_graph(120)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         cmap = color_classes(g)
+        unread = tracemalloc.get_traced_memory()[0] - before
+        for c in cmap.colors:
+            c.forward  # decoded and kept
+        cmap.edge_to_color  # built and kept
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(cmap.colors) == g.edge_count
+    assert len(cmap.colors) == len(cmap.edge_to_color) == g.edge_count
+    assert unread < 2 * 2**20
     assert retained < 5 * 2**20
+
+
+_LAZY_GRAPHS = [
+    fixtures()["paw"],
+    fixtures()["p4"],
+    fixtures()["c5"],
+    complete_graph(24),
+    checks.threshold_graph(40),
+    checks.balanced_cograph(6),
+    checks.random_poset_graph(40, Fraction(1, 10), 1),
+]
+
+
+def _plain(cmap: ColorMap) -> ColorMap:
+    # The map rebuilt from its decoded public fields.
+    return ColorMap(cmap.graph, tuple(ColorClass(c.id, c.forward) for c in cmap.colors), dict(cmap.edge_to_color))
+
+
+def test_a_color_map_pickles_copies_and_compares_as_its_decoded_fields():
+    # The mask blocks a map of ``color_classes`` and its colors hold are no
+    # field: equality, hashing, ``repr``, pickling and copying read the
+    # decoded fields, and a pickle leaves the blocks behind.  (A frozenset's
+    # repr may list its items in another order once rebuilt, so each copy's
+    # repr is compared with its own rebuilt map.)
+    for g in _LAZY_GRAPHS:
+        cmap, unread = color_classes(g), color_classes(g)
+        data = [pickle.dumps(cmap)] + [pickle.dumps(c) for c in color_classes(g).colors]  # before any read
+        plain = _plain(cmap)
+        assert len(data[0]) <= len(pickle.dumps(plain))
+        assert repr(unread) == repr(cmap) == repr(plain)
+        for again in (pickle.loads(data[0]), copy.copy(cmap), copy.deepcopy(cmap)):
+            assert again == cmap == plain == unread and repr(again) == repr(_plain(again))
+            with pytest.raises(TypeError):  # the edge index is a dict, as the plain map's is
+                hash(again)
+        for c, plain_c, blob in zip(cmap.colors, plain.colors, data[1:]):
+            assert len(blob) <= len(pickle.dumps(plain_c))
+            for again in (pickle.loads(blob), copy.copy(c), copy.deepcopy(c)):
+                assert again == c == plain_c and hash(again) == hash(plain_c)
+                assert repr(again) == repr(ColorClass(again.id, again.forward))
+                assert again.self_inverse == c.self_inverse and again.span == c.span
+
+
+def test_a_color_is_decoded_on_its_first_read_and_then_kept(monkeypatch):
+    calls = []
+    decode = forcing._decode
+    monkeypatch.setattr(forcing, "_decode", lambda *args: calls.append(args) or decode(*args))
+    cmap = color_classes(complete_graph(24))
+    assert calls == []
+    first = cmap.colors[0]
+    assert first.forward is first.forward and len(calls) == 1
+    assert cmap.edge_to_color is cmap.edge_to_color and len(calls) == len(cmap.colors)
 
 
 def test_forcing_properties_on_small_corpus(small_bundles):

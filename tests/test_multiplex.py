@@ -10,6 +10,7 @@ from transor import (
     DomainError,
     Graph,
     InvariantError,
+    Multiplex,
     color_classes,
     color_multiplex,
     decomposition_tree,
@@ -17,7 +18,7 @@ from transor import (
     multiplex_partition,
     simplex_extension_exists,
 )
-from transor import decomposition, multiplex
+from transor import decomposition, forcing, multiplex
 from transor.decomposition import LEAF, PARALLEL, PRIME, SERIES, DecompositionNode
 from transor.oracle import acceptance_corpus, complete_graph, fixtures
 
@@ -246,3 +247,66 @@ def test_colors_that_do_not_add_up_to_a_nodes_edges_are_an_invariant_error(fx, m
     monkeypatch.setattr(multiplex, "_size", lambda color: 0)
     with pytest.raises(InvariantError, match="the colors of a node's blocks do not add up to its edges"):
         multiplex_partition(paw, tree, cmap)
+
+
+_LAZY_GRAPHS = [
+    fixtures()["paw"],
+    fixtures()["p4"],
+    complete_graph(24),
+    checks.threshold_graph(40),
+    checks.balanced_cograph(6),
+    checks.random_poset_graph(40, Fraction(1, 10), 1),
+]
+
+
+def test_colors_and_multiplices_decode_no_color(monkeypatch):
+    # ``color_classes`` and ``multiplex_partition``, with a color map or
+    # without, read each color as mask blocks and the code index: no forward
+    # half is decoded and no edge index built, nor when the multiplices are
+    # written.
+    def refuse(*args):
+        raise AssertionError("a color was decoded")
+
+    cases = [(g, decomposition_tree(g)) for g in _LAZY_GRAPHS]
+    expected = [[m.to_json_dict() for m in multiplex_partition(g, tree)] for g, tree in cases]
+    monkeypatch.setattr(forcing, "_decode", refuse)
+    for (g, tree), want in zip(cases, expected):
+        cmap = color_classes(g)
+        assert [m.to_json_dict() for m in multiplex_partition(g, tree, cmap)] == want
+        assert [m.to_json_dict() for m in multiplex_partition(g, tree)] == want
+    with pytest.raises(AssertionError, match="a color was decoded"):
+        cmap.colors[0].forward
+    with pytest.raises(AssertionError, match="a color was decoded"):
+        cmap.edge_to_color
+
+
+def test_a_multiplex_pickles_copies_and_compares_as_its_fields():
+    # The sorted code run a multiplex of ``multiplex_partition`` keeps is no
+    # field: a pickle or copy leaves it behind and writes the same JSON from
+    # its edge set.
+    for g in _LAZY_GRAPHS:
+        parts = multiplex_partition(g, decomposition_tree(g))
+        data = [pickle.dumps(m) for m in parts]  # before anything is written
+        for m, blob in zip(parts, data):
+            plain = Multiplex(m.span, m.colors, m.edges, m.rank, m.node_path)
+            assert len(blob) <= len(pickle.dumps(plain))
+            assert m == plain and hash(m) == hash(plain) and repr(m) == repr(plain)
+            for again in (pickle.loads(blob), copy.copy(m), copy.deepcopy(m)):
+                assert again == m and hash(again) == hash(m)
+                assert repr(again) == repr(Multiplex(again.span, again.colors, again.edges, again.rank, again.node_path))
+                assert again.to_json_dict() == m.to_json_dict() == plain.to_json_dict()
+
+
+def test_a_color_map_built_by_hand_is_read_as_the_library_one():
+    # A map rebuilt from public fields, or unpickled or copied, holds no
+    # mask blocks: it is converted once into the same blocks and code
+    # index.  C5 with a false twin has a self-inverse color across a prime
+    # node with a two-vertex child, so its size is checked halved.
+    twin_c5 = Graph("abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a"), ("f", "b"), ("f", "e")])
+    for g in _LAZY_GRAPHS + [twin_c5]:
+        tree, cmap = decomposition_tree(g), color_classes(g)
+        expected = [m.to_json_dict() for m in multiplex_partition(g, tree)]
+        colors = tuple(forcing.ColorClass(c.id, c.forward) for c in cmap.colors)
+        for other in (forcing.ColorMap(g, colors, dict(cmap.edge_to_color)), pickle.loads(pickle.dumps(cmap)), copy.copy(cmap)):
+            assert [m.to_json_dict() for m in multiplex_partition(g, tree, other)] == expected
+    assert any(c.self_inverse for c in color_classes(twin_c5).colors)
