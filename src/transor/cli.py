@@ -13,7 +13,7 @@ import random
 import sys
 from itertools import islice
 
-from .decomposition import PRIME, SERIES, decomposition_tree
+from .decomposition import PRIME, SERIES, _preorder, decomposition_tree
 from .errors import DomainError, OracleScaleError, ParseError
 from .forcing import color_classes, is_comparability
 from .graph import Graph
@@ -54,33 +54,43 @@ def _dump(obj) -> str:
 
 
 def _tree_to_json(tree) -> str:
-    # ``_dump(tree.to_json_dict())`` byte for byte, but json.dumps recurses
-    # once per nesting level; the tree's stack renderer does not.
-    return tree._render(
-        lambda n: f'{{"vertices":{_dump([str(v) for v in sorted(n.vertex_set)])},"kind":{_dump(n.kind)},"children":[',
-        ",",
-        lambda n: "]}",
-    )
+    # ``_dump(tree.to_json_dict())`` byte for byte, streamed from the tree's
+    # pre-order walk: json.dumps would recurse once per nesting level.
+    out, left = [], []  # per open node, its children still to come
+    for names, kind, k in _preorder(tree, lambda v: json.dumps(str(v))):
+        out.append(f'{{"vertices":[{",".join(names)}],"kind":{json.dumps(kind)},"children":[')
+        if k:
+            left.append(k)
+            continue
+        out.append("]}")
+        while left:
+            left[-1] -= 1
+            if left[-1]:
+                out.append(",")
+                break
+            left.pop()
+            out.append("]}")
+    return "".join(out)
 
 
 def _tree_to_dot(tree) -> str:
-    # Nodes are numbered in one pre-order walk; the arcs follow, by (parent, child) number.
+    # Nodes are numbered in the tree's pre-order walk; the arcs follow, by (parent, child) number.
     lines = ["digraph decomposition {", "  node [shape=box];"]
-    arcs, i = [], 0
-    stack = [(None, tree)]
-    while stack:
-        parent, node = stack.pop()
-        if parent is not None:
-            arcs.append((parent, i))
-        label = node.kind
-        if node.kind in (SERIES, PRIME):
-            rank = len(node.children) - 1 if node.kind == SERIES else 1
-            label += f" rank={rank}"
-        members = ",".join(str(v) for v in sorted(node.vertex_set))
-        label += "\\n{" + members.replace("\\", "\\\\").replace('"', '\\"') + "}"
-        lines.append(f'  n{i} [label="{label}"];')
-        stack += [(i, c) for c in reversed(node.children)]
-        i += 1
+    arcs, left = [], []  # per open node, [its number, its children still to come]
+    nodes = _preorder(tree, lambda v: str(v).replace("\\", "\\\\").replace('"', '\\"'))
+    for i, (names, kind, k) in enumerate(nodes):
+        if left:
+            parent = left[-1]
+            arcs.append((parent[0], i))
+            parent[1] -= 1
+            if not parent[1]:
+                left.pop()
+        label = kind
+        if kind in (SERIES, PRIME):
+            label += f" rank={k - 1 if kind == SERIES else 1}"
+        lines.append(f'  n{i} [label="{label}\\n{{{",".join(names)}}}"];')
+        if k:
+            left.append([i, k])
     arcs.sort()
     lines += [f"  n{p} -> n{c};" for p, c in arcs]
     lines.append("}")

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, InvariantError
-from .graph import Graph, _check_graph, mask_components
+from .graph import Graph, _bits, _check_graph, mask_components
 
 LEAF = "leaf"
 PARALLEL = "parallel"
@@ -24,7 +24,7 @@ SERIES = "series"
 PRIME = "prime"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class DecompositionNode:
     """One node of the decomposition tree: a strong module and its split.
 
@@ -32,13 +32,46 @@ class DecompositionNode:
     No quotient is stored: ``induced_subgraph(g, node.representatives)`` is
     one.  Equality is the tree as printed (vertex sets, kinds, children), so
     trees of two graphs with the same strong modules and kinds compare equal;
-    it, hashing, ``repr``, pickling and copying walk the tree on a stack, so
-    any depth works.
+    it, hashing, ``repr``, pickling and copying see these three fields alone
+    and walk the tree on a stack, so any depth works.  A node of
+    ``decomposition_tree`` holds its place in the split list instead:
+    ``children`` is decoded from the masks on its first read, and
+    ``vertex_set`` from the children's sets, and both are then kept.
     """
 
-    vertex_set: frozenset
+    __slots__ = ("_vertex_set", "kind", "_children", "_held", "_source")
+    vertex_set: frozenset  # the three fields: two are the properties below
     kind: str
     children: tuple["DecompositionNode", ...]
+
+    def __init__(self, vertex_set: frozenset, kind: str, children: tuple):
+        setattr_ = object.__setattr__  # the dataclass is frozen
+        setattr_(self, "_vertex_set", vertex_set)
+        setattr_(self, "kind", kind)
+        setattr_(self, "_children", children)
+        setattr_(self, "_held", None)
+        setattr_(self, "_source", None)
+
+    @property
+    def vertex_set(self) -> frozenset:
+        if self._vertex_set is None and self._held is not None:
+            # Children first, each set the union of its children's, as the
+            # tree built by hand has it: the same sets in the same order.
+            order, stack = [], [self]
+            while stack:
+                node = stack.pop()
+                if node._vertex_set is None:
+                    order.append(node)
+                    stack += node.children
+            for node in reversed(order):
+                object.__setattr__(node, "_vertex_set", frozenset().union(*(c._vertex_set for c in node.children)))
+        return self._vertex_set
+
+    @property
+    def children(self) -> tuple:
+        if self._children is None and self._held is not None:
+            object.__setattr__(self, "_children", _decode(*self._held))
+        return self._children
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DecompositionNode):
@@ -63,16 +96,9 @@ class DecompositionNode:
         return _rebuild, ([(n.vertex_set, n.kind, len(n.children)) for n in self.walk()],)
 
     def __repr__(self) -> str:
-        # The dataclass-generated format, without one nested call per level.
-        return self._render(
-            lambda n: f"DecompositionNode(vertex_set={n.vertex_set!r}, kind={n.kind!r}, children=(",
-            ", ",
-            lambda n: ("," if len(n.children) == 1 else "") + "))",
-        )
-
-    def _render(self, head, sep: str, tail) -> str:
-        # Each node as ``head(node)``, its children joined by ``sep``, then
-        # ``tail(node)``, from a stack of nodes and literal pieces: any depth.
+        # The dataclass-generated format, without one nested call per level:
+        # each node's head, its children joined by ", ", then its tail, from
+        # a stack of nodes and literal pieces.
         out = []
         stack: list = [self]
         while stack:
@@ -80,12 +106,13 @@ class DecompositionNode:
             if isinstance(item, str):
                 out.append(item)
                 continue
-            out.append(head(item))
-            stack.append(tail(item))
-            for i in range(len(item.children) - 1, -1, -1):
-                stack.append(item.children[i])
+            out.append(f"DecompositionNode(vertex_set={item.vertex_set!r}, kind={item.kind!r}, children=(")
+            children = item.children
+            stack.append(("," if len(children) == 1 else "") + "))")
+            for i in range(len(children) - 1, -1, -1):
+                stack.append(children[i])
                 if i:
-                    stack.append(sep)
+                    stack.append(", ")
         return "".join(out)
 
     def walk(self) -> Iterator["DecompositionNode"]:
@@ -110,14 +137,14 @@ class DecompositionNode:
         return [min(child.vertex_set) for child in self.children]
 
     def to_json_dict(self) -> dict:
-        done: dict = {}
-        for node in reversed(list(self.walk())):  # every child before its parent
-            done[id(node)] = {
-                "vertices": [str(v) for v in sorted(node.vertex_set)],
-                "kind": node.kind,
-                "children": [done[id(c)] for c in node.children],
-            }
-        return done[id(self)]
+        out: list = []
+        stack = [out]  # per node still to come, the list it joins
+        for names, kind, k in _preorder(self, str):
+            children: list = []
+            stack.pop().append({"vertices": names, "kind": kind, "children": children})
+            if k:
+                stack += [children] * k
+        return out[0]
 
 
 def _rebuild(flat: list) -> DecompositionNode:
@@ -127,6 +154,60 @@ def _rebuild(flat: list) -> DecompositionNode:
     for vertex_set, kind, k in reversed(flat):
         stack.append(DecompositionNode(vertex_set, kind, tuple(stack.pop() for _ in range(k))))
     return stack.pop()
+
+
+class _Run:
+    # The split list of one ``decomposition_tree``, which its nodes hold as
+    # (run, position); on the first decode, each internal node's position.
+    __slots__ = ("graph", "splits", "at")
+
+    def __init__(self, graph: Graph, splits: list):
+        self.graph, self.splits, self.at = graph, splits, None
+
+
+def _node_at(run: _Run, i: int) -> DecompositionNode:
+    node = DecompositionNode(None, run.splits[i][1], None)
+    object.__setattr__(node, "_held", (run, i))
+    return node
+
+
+def _decode(run: _Run, i: int) -> tuple:
+    # The children of the node at position i of the run: a leaf for each
+    # one-vertex part, and each other part held at its own position.
+    if run.at is None:
+        run.at = {x: j for j, (x, _, _) in enumerate(run.splits)}
+    vs = run.graph.vertices
+    return tuple(
+        _node_at(run, run.at[p]) if p & (p - 1) else DecompositionNode(frozenset((vs[p.bit_length() - 1],)), LEAF, ())
+        for p in run.splits[i][2]
+    )
+
+
+def _preorder(node: DecompositionNode, name: Callable) -> Iterator[tuple[list, str, int]]:
+    # Per node in pre-order: ``name`` of each of its vertices in vertex
+    # order, its kind and its number of children.  A held node's subtree is
+    # read off the masks: it is the run of the split list from its position
+    # on, and each node's names cost one step per vertex.  A node built by
+    # hand, copied or unpickled is read off its fields.
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node._held is None:
+            yield [name(v) for v in sorted(node.vertex_set)], node.kind, len(node.children)
+            stack.extend(reversed(node.children))
+            continue
+        run, i = node._held
+        splits, table = run.splits, list(map(name, run.graph.vertices))
+        masks = [splits[i][0]]
+        while masks:
+            p = masks.pop()
+            if p & (p - 1):  # the next internal node in pre-order is p
+                _, kind, parts = splits[i]
+                i += 1
+                yield list(map(table.__getitem__, _bits(p))), kind, len(parts)
+                masks += reversed(parts)
+            else:
+                yield [table[p.bit_length() - 1]], LEAF, 0
 
 
 def is_module(g: Graph, sub: Iterable) -> bool:
@@ -269,12 +350,7 @@ def _color_parts(masks: list[int], x: int, runs: tuple, shuffle: random.Random |
     # inside x holds t's neighbours in t's own child, so t joins the child
     # of its lowest vertex once that is known.  ``shuffle`` permutes the
     # order the vertices are read in.
-    members = []
-    m = x
-    while m:
-        b = m & -m
-        members.append(b.bit_length() - 1)
-        m ^= b
+    members = _bits(x)
     if shuffle is not None:
         shuffle.shuffle(members)
     inside = set(members)
@@ -394,7 +470,7 @@ def maximal_strong_partition(g: Graph, *, shuffle: random.Random | None = None) 
     if parts is None:
         parts = _prime_parts(masks, full, shuffle)
     for p, want in _below(masks, full, kind, parts, 0):  # each part proved a module as a flat node
-        _below(masks, p, PRIME, [1 << g.index[v] for v in g.vertex_list(p)], want)
+        _below(masks, p, PRIME, [1 << i for i in _bits(p)], want)
     return tuple(g.unmask(p) for p in parts)
 
 
@@ -487,39 +563,30 @@ def _check_shuffle(shuffle) -> None:
 def decomposition_tree(g: Graph, *, shuffle: random.Random | None = None) -> DecompositionNode:
     """Decomposition into strong modules, deterministic child order.
 
-    Assembles the nodes bottom-up from ``_split``'s pre-order masks: no
-    recursion and no graph per level.  The root keeps g and those masks,
-    which ``multiplex_partition`` reads.  ``DomainError`` unless ``shuffle``
-    is None or a ``random.Random``."""
+    The root holds ``_split``'s pre-order masks, with no recursion and no
+    graph per level, and builds no node below it: its children are decoded
+    from the masks when read (see ``DecompositionNode``), and
+    ``to_json_dict`` reads the masks alone.  The root also keeps g, which
+    ``multiplex_partition`` checks before it reads the masks.
+    ``DomainError`` unless ``shuffle`` is None or a ``random.Random``."""
     _check_graph(g)
     _check_shuffle(shuffle)
     if g.vertex_count == 0:
         raise DomainError("cannot decompose an empty vertex set")
-    vs = g.vertices
-
-    def node(p: int) -> DecompositionNode:
-        if p & (p - 1):
-            return built.pop(p)
-        return DecompositionNode(frozenset((vs[p.bit_length() - 1],)), LEAF, ())
-
-    built: dict[int, DecompositionNode] = {}
-    splits = _split(g, shuffle)
-    for x, kind, parts in reversed(splits):
-        children = tuple(map(node, parts))
-        built[x] = DecompositionNode(frozenset().union(*(c.vertex_set for c in children)), kind, children)
-    root = node((1 << g.vertex_count) - 1)  # the root: split first, assembled last
-    object.__setattr__(root, "_source", (g, splits))  # no field: ==, hash, repr and pickling skip it
+    run = _Run(g, _split(g, shuffle))
+    root = _node_at(run, 0) if run.splits else DecompositionNode(frozenset(g.vertices), LEAF, ())
+    object.__setattr__(root, "_source", run)  # no field: ==, hash, repr and pickling skip it
     return root
 
 
 def _splits_of(g: Graph, tree) -> list:
-    # The split list ``decomposition_tree`` assembled ``tree`` from, when
-    # that was g or a graph equal to it; any other tree, a hand-built copy
+    # The split list of ``tree``'s run when ``decomposition_tree`` returned
+    # it for g or for a graph equal to it; any other tree, a hand-built copy
     # or a subtree included, is a domain error.
-    source = getattr(tree, "_source", None) if isinstance(tree, DecompositionNode) else None
-    if source is None or (source[0] is not g and source[0] != g):
+    run = tree._source if isinstance(tree, DecompositionNode) else None
+    if run is None or (run.graph is not g and run.graph != g):
         raise DomainError("the tree is not one that decomposition_tree returned for this graph")
-    return source[1]
+    return run.splits
 
 
 def _blocks(masks: list[int], kind: str, parts: list[int]) -> list[tuple[int, int]]:

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 from .decomposition import PRIME, SERIES, _upper
 from .errors import DomainError, InvariantError
-from .graph import Graph, _check_graph, _pair, spanned_vertices
+from .graph import Graph, _bits, _check_graph, _pair, spanned_vertices
 
 
 class _Colors(NamedTuple):
@@ -264,16 +264,6 @@ def _edge_classes(masks: list[int], x: int) -> _Labels:
             if root[i] >> 1 in odd:
                 root[i] = root[i + 1] = root[i] & ~1
     return _Labels(group, root, _reverse_classes(root), held, starts)
-
-
-def _bits(x: int) -> list[int]:
-    # The vertex indices of the mask x, ascending.
-    out = []
-    while x:
-        b = x & -x
-        out.append(b.bit_length() - 1)
-        x ^= b
-    return out
 
 
 def _reverse_classes(root: list[int]) -> dict:

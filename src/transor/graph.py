@@ -116,11 +116,7 @@ class Graph:
 
     def vertex_list(self, mask: int) -> list:
         """The vertices of a mask, in index order."""
-        out = []
-        while mask:
-            out.append(self.vertices[(mask & -mask).bit_length() - 1])
-            mask &= mask - 1
-        return out
+        return list(map(self.vertices.__getitem__, _bits(mask)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -172,6 +168,16 @@ def connected_components(g: Graph) -> list[frozenset]:
     _check_graph(g)
     full = (1 << g.vertex_count) - 1
     return [g.unmask(c) for c in mask_components(g.adjacency_masks(), full)]
+
+
+def _bits(x: int) -> list[int]:
+    # The vertex indices of the mask x, ascending: one step per set bit.
+    out = []
+    while x:
+        b = x & -x
+        out.append(b.bit_length() - 1)
+        x ^= b
+    return out
 
 
 def _check_graph(g) -> None:

@@ -13,8 +13,8 @@ from itertools import chain
 
 from .decomposition import PARALLEL, SERIES, DecompositionNode, _blocks, _splits_of, is_strong_module
 from .errors import DomainError, InvariantError
-from .forcing import ColorMap, _bits, _color_table, _Colors, color_classes
-from .graph import Graph, _check_graph
+from .forcing import ColorMap, _color_table, _Colors, color_classes
+from .graph import Graph, _bits, _check_graph
 
 
 @dataclass(frozen=True, init=False)
@@ -69,8 +69,8 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
     at its representatives' edge, and its size off its mask blocks; a node
     whose children are all single vertices reads each edge, one block
     apiece.  No color is decoded.  The node masks, and with no ``cmap`` the
-    colors, are read off the split list ``tree`` was assembled from: no
-    scan, cover walk or prime split runs again.  ``DomainError`` unless
+    colors, are read off the split list ``tree`` holds: no scan, cover
+    walk or prime split runs again.  ``DomainError`` unless
     ``tree`` is the tree ``decomposition_tree`` returned for g or for a
     graph equal to it, and when ``cmap`` is the color map of another graph.
     """

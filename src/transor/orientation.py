@@ -19,8 +19,8 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 from .decomposition import PARALLEL, PRIME, SERIES, _blocks, _check_shuffle, _color_split, _upper
 from .errors import DomainError, InvariantError
-from .forcing import _bits, _edge_classes
-from .graph import Graph, _check_graph, _pair
+from .forcing import _edge_classes
+from .graph import Graph, _bits, _check_graph, _pair
 
 
 @dataclass(init=False, unsafe_hash=True)

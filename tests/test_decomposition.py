@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import factorial, prod
 
@@ -26,10 +27,10 @@ from transor import (
     quotient,
     smallest_module,
 )
-from transor import decomposition, forcing
+from transor import cli, decomposition, forcing
 from transor.decomposition import LEAF, PARALLEL, PRIME, SERIES
 from transor.forcing import color_classes
-from transor.oracle import closure_strong_partition, fixtures, path_graph, random_graph, six_vertex_graph_classes
+from transor.oracle import closure_strong_partition, complete_graph, fixtures, path_graph, random_graph, six_vertex_graph_classes
 
 import checks
 
@@ -425,3 +426,95 @@ def test_a_shuffle_that_is_no_random_generator_is_a_domain_error(fx, bad):
             with pytest.raises(DomainError, match="is not a random.Random"):
                 verb(g, shuffle=bad)
         assert decomposition_tree(g, shuffle=random.Random(1)) == decomposition_tree(g)
+
+
+_HELD_GRAPHS = [
+    fixtures()["paw"],
+    fixtures()["p4"],
+    complete_graph(24),
+    checks.threshold_graph(40),
+    checks.balanced_cograph(6),
+    checks.random_poset_graph(40, Fraction(1, 10), 1),
+    checks.substitution_graph(300, 5)[0],
+]
+
+
+def _written(tree) -> tuple:
+    return tree.to_json_dict(), cli._tree_to_json(tree), cli._tree_to_dot(tree)
+
+
+def test_decompose_decodes_no_node(monkeypatch):
+    # The tree is held as its split list: building it, writing its JSON and
+    # DOT and reading its multiplices decode no child of the root.
+    expected = []
+    for g in _HELD_GRAPHS:
+        tree = decomposition_tree(g)
+        expected.append((_written(pickle.loads(pickle.dumps(tree))), multiplex_partition(g, tree)))
+
+    def refuse(*args):
+        raise AssertionError("a node was decoded")
+
+    monkeypatch.setattr(decomposition, "_decode", refuse)
+    for g, (written, multiplices) in zip(_HELD_GRAPHS, expected):
+        tree = decomposition_tree(g)
+        assert _written(tree) == written
+        assert cli._tree_to_json(tree) == cli._dump(written[0])
+        assert multiplex_partition(g, tree) == multiplices
+        assert tree._children is None
+    with pytest.raises(AssertionError, match="a node was decoded"):
+        tree.children
+
+
+def test_a_held_tree_is_seen_as_the_tree_built_by_hand():
+    # Decoding on first read cannot be seen: a held tree and the tree the
+    # construction built agree on every output, whole or a subtree at a
+    # time, before and after the nodes are decoded, and so do their pickle
+    # round trips (which rebuild each set from its items, so their repr
+    # and pickle may differ from the trees they came from).
+    g, built, _ = checks.substitution_graph(300, 5)
+    fresh, held = decomposition_tree(g), decomposition_tree(g)
+    written = _written(fresh)
+    assert _written(built) == written
+    assert repr(held) == repr(built) and hash(held) == hash(built) and held == built
+    assert pickle.dumps(held) == pickle.dumps(built)
+    copies = [pickle.loads(pickle.dumps(tree)) for tree in (held, built)]
+    assert repr(copies[0]) == repr(copies[1]) and pickle.dumps(copies[0]) == pickle.dumps(copies[1])
+    for other in copies:
+        assert _written(other) == written and hash(other) == hash(held) and other == held
+    assert _written(held) == written
+    for mine, theirs in zip(held.walk(), built.walk()):
+        assert _written(mine) == _written(theirs)
+        assert mine.representatives == theirs.representatives
+    assert [c.kind for c in fresh.children[0].children] == [c.kind for c in built.children[0].children]
+    assert _written(fresh) == written  # a tree decoded in part
+
+
+def test_a_held_tree_of_any_depth_is_read_without_recursion():
+    # threshold_graph(3000)'s tree is a chain 2999 nodes deep.
+    tree = decomposition_tree(checks.threshold_graph(3000))
+    deep = tree
+    for _ in range(2000):
+        deep = next(c for c in deep.children if c.children)
+    twin = pickle.loads(pickle.dumps(deep))
+    assert len(deep.vertex_set) == 1000
+    assert deep == twin and hash(deep) == hash(twin) and repr(deep).count("DecompositionNode(") == 1999
+    assert cli._tree_to_json(deep) == cli._tree_to_json(twin)
+    assert deep.to_json_dict()["vertices"] == [str(v) for v in sorted(deep.vertex_set)]
+    assert len(tree.to_json_dict()["vertices"]) == 3000
+    assert cli._tree_to_json(tree).count('"kind"') == 5999
+    assert len(tree.vertex_set) == 3000 and hash(tree) == hash((frozenset(range(3000)), tree.kind))
+
+
+def test_a_held_tree_retains_its_split_list_alone():
+    # threshold-500's tree is a chain 499 nodes deep: node objects with a
+    # vertex set each retained 5.6 MB; the split list retains 0.13 MB.
+    g = checks.threshold_graph(500)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = decomposition_tree(g)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tree.kind == SERIES
+    assert retained < 2**20
