@@ -13,7 +13,7 @@ import random
 import sys
 from itertools import islice
 
-from .decomposition import PRIME, SERIES, _preorder, decomposition_tree
+from .decomposition import PRIME, SERIES, _nest, _preorder, decomposition_tree
 from .errors import DomainError, OracleScaleError, ParseError
 from .forcing import color_classes, is_comparability
 from .graph import Graph
@@ -56,21 +56,10 @@ def _dump(obj) -> str:
 def _tree_to_json(tree) -> str:
     # ``_dump(tree.to_json_dict())`` byte for byte, streamed from the tree's
     # pre-order walk: json.dumps would recurse once per nesting level.
-    out, left = [], []  # per open node, its children still to come
-    for names, kind, k in _preorder(tree, lambda v: json.dumps(str(v))):
-        out.append(f'{{"vertices":[{",".join(names)}],"kind":{json.dumps(kind)},"children":[')
-        if k:
-            left.append(k)
-            continue
-        out.append("]}")
-        while left:
-            left[-1] -= 1
-            if left[-1]:
-                out.append(",")
-                break
-            left.pop()
-            out.append("]}")
-    return "".join(out)
+    def write(names: list, kind: str, k: int) -> tuple[str, str]:
+        return f'{{"vertices":[{",".join(names)}],"kind":{json.dumps(kind)},"children":[', "]}"
+
+    return _nest(_preorder(tree, lambda v: json.dumps(str(v))), write, ",")
 
 
 def _tree_to_dot(tree) -> str:
@@ -213,13 +202,11 @@ def _cmd_oracle_compare(args) -> int:
     truth_set = set(truth)
     fast_set = set(fast)
     if fast_set != truth_set:
-        missing = next(iter(truth_set - fast_set), None)
-        extra = next(iter(fast_set - truth_set), None)
         return fail(
             "orientations",
             {
-                "missing": missing.to_json() if missing else None,
-                "extra": extra.to_json() if extra else None,
+                "missing": min(map(Orientation.to_json, truth_set - fast_set), default=None),
+                "extra": min(map(Orientation.to_json, fast_set - truth_set), default=None),
             },
         )
     verdict = is_comparability(g)
@@ -229,9 +216,7 @@ def _cmd_oracle_compare(args) -> int:
     oracle_strong = oracle.brute_force_strong_modules(g)
     if tree_sets != oracle_strong:
         diff = tree_sets.symmetric_difference(oracle_strong)
-        return fail(
-            "strong_modules", {"difference": [sorted(map(str, s)) for s in diff]}
-        )
+        return fail("strong_modules", {"difference": sorted(sorted(map(str, s)) for s in diff)})
     print(
         f"agreement: {len(truth)} orientations,"
         f" {len(oracle_strong)} strong modules, comparability {str(verdict).lower()}"

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, islice
+from operator import eq
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, InvariantError
@@ -23,6 +24,8 @@ PARALLEL = "parallel"
 SERIES = "series"
 PRIME = "prime"
 
+_BITS = bytes.maketrans(b"01", b"\0\1")  # a mask's binary digits as selectors
+
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class DecompositionNode:
@@ -31,12 +34,14 @@ class DecompositionNode:
     ``children`` partition ``vertex_set`` and are ordered by smallest vertex.
     No quotient is stored: ``induced_subgraph(g, node.representatives)`` is
     one.  Equality is the tree as printed (vertex sets, kinds, children), so
-    trees of two graphs with the same strong modules and kinds compare equal;
-    it, hashing, ``repr``, pickling and copying see these three fields alone
-    and walk the tree on a stack, so any depth works.  A node of
-    ``decomposition_tree`` holds its place in the split list instead:
-    ``children`` is decoded from the masks on its first read, and
-    ``vertex_set`` from the children's sets, and both are then kept.
+    trees of two graphs with the same strong modules and kinds compare equal.
+    Equality, ``repr`` and pickling (so copying) read the tree's pre-order
+    records (see ``_preorder``), each set's items in vertex order: any depth
+    works, and the text and bytes do not follow set order.  Hashing reads the
+    node's own set and kind.  A node of ``decomposition_tree`` holds its
+    place in the split list instead: its ``vertex_set`` is read off its mask,
+    its ``children`` are decoded from the masks on their first read, and both
+    are then kept; equality, hashing, ``repr`` and pickling decode no node.
     """
 
     __slots__ = ("_vertex_set", "kind", "_children", "_held", "_source")
@@ -55,16 +60,8 @@ class DecompositionNode:
     @property
     def vertex_set(self) -> frozenset:
         if self._vertex_set is None and self._held is not None:
-            # Children first, each set the union of its children's, as the
-            # tree built by hand has it: the same sets in the same order.
-            order, stack = [], [self]
-            while stack:
-                node = stack.pop()
-                if node._vertex_set is None:
-                    order.append(node)
-                    stack += node.children
-            for node in reversed(order):
-                object.__setattr__(node, "_vertex_set", frozenset().union(*(c._vertex_set for c in node.children)))
+            run, i = self._held
+            object.__setattr__(self, "_vertex_set", run.graph.unmask(run.splits[i][0]))
         return self._vertex_set
 
     @property
@@ -76,44 +73,25 @@ class DecompositionNode:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DecompositionNode):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if (a.vertex_set, a.kind, len(a.children)) != (b.vertex_set, b.kind, len(b.children)):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
+        # Record by record: a walk ends where its child counts say, so equal
+        # records up to the end of one tree are the end of the other.
+        return self is other or all(map(eq, _preorder(self), _preorder(other)))
 
     def __hash__(self) -> int:
         return hash((self.vertex_set, self.kind))  # equal nodes agree on both
 
     def __reduce__(self) -> tuple:
-        # The fields alone, as a flat pre-order list, so pickling and copying
-        # take any depth; a pickle or copy of a root leaves its graph and
-        # split list behind, so ``multiplex_partition`` refuses it.
-        return _rebuild, ([(n.vertex_set, n.kind, len(n.children)) for n in self.walk()],)
+        # A pickle or copy of a root leaves its graph and split list behind,
+        # so ``multiplex_partition`` refuses it.
+        return _rebuild, (list(_preorder(self)),)
 
     def __repr__(self) -> str:
-        # The dataclass-generated format, without one nested call per level:
-        # each node's head, its children joined by ", ", then its tail, from
-        # a stack of nodes and literal pieces.
-        out = []
-        stack: list = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            out.append(f"DecompositionNode(vertex_set={item.vertex_set!r}, kind={item.kind!r}, children=(")
-            children = item.children
-            stack.append(("," if len(children) == 1 else "") + "))")
-            for i in range(len(children) - 1, -1, -1):
-                stack.append(children[i])
-                if i:
-                    stack.append(", ")
-        return "".join(out)
+        # The dataclass-generated format.
+        def write(names: list, kind: str, k: int) -> tuple[str, str]:
+            items = f"{{{', '.join(names)}}}" if names else ""
+            return f"DecompositionNode(vertex_set=frozenset({items}), kind={kind!r}, children=(", ",))" if k == 1 else "))"
+
+        return _nest(_preorder(self, repr), write, ", ")
 
     def walk(self) -> Iterator["DecompositionNode"]:
         stack = [self]
@@ -147,12 +125,13 @@ class DecompositionNode:
         return out[0]
 
 
-def _rebuild(flat: list) -> DecompositionNode:
-    # The tree ``DecompositionNode.__reduce__`` flattened: in reverse
-    # pre-order each node's children are built before it, the first on top.
+def _rebuild(records: list) -> DecompositionNode:
+    # The tree whose pre-order records ``DecompositionNode.__reduce__`` took:
+    # in reverse pre-order each node's children are built before it, the
+    # first on top.
     stack: list = []
-    for vertex_set, kind, k in reversed(flat):
-        stack.append(DecompositionNode(vertex_set, kind, tuple(stack.pop() for _ in range(k))))
+    for names, kind, k in reversed(records):
+        stack.append(DecompositionNode(frozenset(names), kind, tuple(stack.pop() for _ in range(k))))
     return stack.pop()
 
 
@@ -183,31 +162,60 @@ def _decode(run: _Run, i: int) -> tuple:
     )
 
 
-def _preorder(node: DecompositionNode, name: Callable) -> Iterator[tuple[list, str, int]]:
-    # Per node in pre-order: ``name`` of each of its vertices in vertex
-    # order, its kind and its number of children.  A held node's subtree is
-    # read off the masks: it is the run of the split list from its position
-    # on, and each node's names cost one step per vertex.  A node built by
-    # hand, copied or unpickled is read off its fields.
+def _preorder(node: DecompositionNode, name: Callable | None = None) -> Iterator[tuple[list, str, int]]:
+    # The one reader of a tree's content.  Per node in pre-order: its
+    # vertices in vertex order (each passed through ``name``, if given), its
+    # kind and its number of children.  A held node's subtree is read off
+    # the masks: it is the run of the split list from its position on, and
+    # a node's vertices cost one step each, or one pass over its span when
+    # they fill an eighth of it or more.  A node built by hand, copied
+    # or unpickled is read off its fields.
     stack = [node]
     while stack:
         node = stack.pop()
         if node._held is None:
-            yield [name(v) for v in sorted(node.vertex_set)], node.kind, len(node.children)
+            names = sorted(node.vertex_set)
+            yield names if name is None else list(map(name, names)), node.kind, len(node.children)
             stack.extend(reversed(node.children))
             continue
         run, i = node._held
-        splits, table = run.splits, list(map(name, run.graph.vertices))
+        splits, table = run.splits, run.graph.vertices if name is None else list(map(name, run.graph.vertices))
         masks = [splits[i][0]]
         while masks:
             p = masks.pop()
             if p & (p - 1):  # the next internal node in pre-order is p
                 _, kind, parts = splits[i]
                 i += 1
-                yield list(map(table.__getitem__, _bits(p))), kind, len(parts)
+                low = (p & -p).bit_length() - 1
+                if 8 * p.bit_count() < p.bit_length() - low:  # sparse: one step per vertex
+                    names = list(map(table.__getitem__, _bits(p)))
+                else:  # dense: its span's bits as bytes, one pass in C
+                    names = list(compress(islice(table, low, None), f"{p >> low:b}"[::-1].encode().translate(_BITS)))
+                yield names, kind, len(parts)
                 masks += reversed(parts)
             else:
                 yield [table[p.bit_length() - 1]], LEAF, 0
+
+
+def _nest(records: Iterable, write: Callable, sep: str) -> str:
+    # A tree's text from its pre-order records: ``write(names, kind, k)``
+    # gives a node's opening and closing text, and its children's texts go
+    # between them, joined by ``sep``.
+    out, open_ = [], []  # per open node, [its closing text, its children still to come]
+    for names, kind, k in records:
+        head, tail = write(names, kind, k)
+        out.append(head)
+        if k:
+            open_.append([tail, k])
+            continue
+        out.append(tail)
+        while open_:
+            open_[-1][1] -= 1
+            if open_[-1][1]:
+                out.append(sep)
+                break
+            out.append(open_.pop()[0])
+    return "".join(out)
 
 
 def is_module(g: Graph, sub: Iterable) -> bool:

@@ -11,7 +11,18 @@ from itertools import combinations
 
 import pytest
 
-from transor import color_classes, decomposition, decomposition_tree, multiplex_partition, orientation
+from transor import (
+    Orientation,
+    cli,
+    color_classes,
+    decomposition,
+    decomposition_tree,
+    enumerate_orientations,
+    multiplex_partition,
+    oracle,
+    orientation,
+)
+from transor.decomposition import LEAF, PRIME, DecompositionNode
 from transor.cli import main
 from transor.io import parse_graph
 from transor.oracle import acceptance_corpus, complete_graph, cycle_graph, implication_classes, path_graph
@@ -299,6 +310,79 @@ def test_oracle_compare_agreement(write, capsys):
     assert code == 0 and out.startswith("agreement")
 
 
+DIAMOND = "a b\nb c\nc d\nd a\na c\n"  # C4 with the chord ac: 6 orientations
+
+
+def _flip_ab(g, **kwargs):
+    # The fast stream with the edge ab reversed in every orientation: it
+    # misses some of the true orientations and adds non-transitive ones.
+    for o in enumerate_orientations(g, **kwargs):
+        yield Orientation(frozenset((h, t) if {t, h} == {"a", "b"} else (t, h) for t, h in o.directed))
+
+
+def _paw_as_one_prime_node(g):
+    return DecompositionNode(frozenset(g.vertices), PRIME, tuple(DecompositionNode(frozenset((v,)), LEAF, ()) for v in g.vertices))
+
+
+def test_oracle_compare_reports_each_disagreement(write, capsys, monkeypatch):
+    # Each fast-path answer that the oracle contradicts exits 2 with one
+    # JSON line naming the check and a counterexample.
+    paw, diamond = write("paw.edges", PAW), write("diamond.edges", DIAMOND)
+    g = parse_graph(DIAMOND).graph
+    truth, fast = set(oracle.brute_force_orientations(g)), set(_flip_ab(g))
+    missing, extra = min(map(Orientation.to_json, truth - fast)), min(map(Orientation.to_json, fast - truth))
+    assert len(truth - fast) > 1 and len(fast - truth) > 1
+    cases = [
+        ("count_orientations", lambda g: 5, paw, {"check": "count", "counterexample": {"fast": "5", "oracle": 4}}),
+        ("enumerate_orientations", _flip_ab, diamond,
+         {"check": "orientations", "counterexample": {"missing": missing, "extra": extra}}),
+        ("is_comparability", lambda g: False, paw, {"check": "comparability", "counterexample": {"fast": False, "oracle": True}}),
+        ("decomposition_tree", _paw_as_one_prime_node, paw,
+         {"check": "strong_modules", "counterexample": {"difference": [["b", "c"], ["b", "c", "d"]]}}),
+    ]
+    for name, fake, path, report in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, fake)
+            code, out, err = run(capsys, "oracle-compare", path)
+        assert (code, err, out.count("\n")) == (2, "", 1), name
+        assert json.loads(out) == report
+
+
+def test_oracle_compare_reports_do_not_follow_string_hashing(write):
+    # The least missing and extra orientations, and the strong modules in
+    # sorted order, are the same under any PYTHONHASHSEED.
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[2])\n"
+        "import test_cli\n"
+        "from transor import cli\n"
+        "cli.enumerate_orientations = test_cli._flip_ab\n"
+        "sys.exit(cli.main(['oracle-compare', sys.argv[1]]))\n"
+    )
+    argv = [sys.executable, "-c", script, write("diamond.edges", DIAMOND), os.path.dirname(os.path.abspath(__file__))]
+    outputs = set()
+    for seed in ("0", "1"):
+        proc = subprocess.run(argv, capture_output=True, env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert proc.returncode == 2 and proc.stderr == b""
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ('[["a","b"]', "orientation file is not valid JSON"),
+        ('{"a": "b"}', "orientation file must be a JSON list of [tail, head] pairs"),
+        ('[["a","b","c"]]', "orientation file must be a JSON list of [tail, head] pairs"),
+        ('["ab"]', "orientation file must be a JSON list of [tail, head] pairs"),
+        ('[["b","d"],["a","b"],["a","c"],["a","d"]]', "['b', 'd'] is not an edge of the graph"),
+    ],
+)
+def test_a_malformed_orientation_file_exits_64_with_one_error_line(write, capsys, pairs, message):
+    code, out, err = run(capsys, "verify", "--orientation", write("o.json", pairs), write("paw.edges", PAW))
+    assert (code, out) == (64, "") and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_64_not_the_mismatch_code(write, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle-compare", "--bogus", write("paw.edges", PAW)])
@@ -361,6 +445,18 @@ def test_parse_errors_exit_64(write, capsys):
     assert code == 64
     code, _, err = run(capsys, "count", str(write("x", "")) + ".missing")
     assert code == 64
+    for text in (
+        "p edge 2 1\np edge 2 1\ne 1 2\n",  # a second problem line
+        "p edge 2 1\ne 1\n",  # an edge line of two tokens
+        "p edge 3 1\ne 1 2 3\n",  # an edge line of four tokens
+        "p edge 2 1\nx 1 2\n",  # an unrecognized line
+        "c a comment\n",  # comment-only: read as an edge list, whose line has three tokens
+        "c\n",
+        "",  # no vertices
+        "\n  \n",
+    ):
+        code, out, err = run(capsys, "count", write("bad.txt", text))
+        assert (code, out) == (64, "") and err.startswith("error: ") and err.count("\n") == 1, text
 
 
 def test_duplicate_warning_goes_to_stderr(write, capsys):

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -28,7 +31,7 @@ from transor import (
     smallest_module,
 )
 from transor import cli, decomposition, forcing
-from transor.decomposition import LEAF, PARALLEL, PRIME, SERIES
+from transor.decomposition import LEAF, PARALLEL, PRIME, SERIES, DecompositionNode
 from transor.forcing import color_classes
 from transor.oracle import closure_strong_partition, complete_graph, fixtures, path_graph, random_graph, six_vertex_graph_classes
 
@@ -518,3 +521,75 @@ def test_a_held_tree_retains_its_split_list_alone():
         tracemalloc.stop()
     assert tree.kind == SERIES
     assert retained < 2**20
+
+
+def _by_hand(tree) -> DecompositionNode:
+    # The tree rebuilt from its decoded nodes' fields, children first.
+    built: dict = {}
+    for node in reversed(list(tree.walk())):
+        built[id(node)] = DecompositionNode(node.vertex_set, node.kind, tuple(built[id(c)] for c in node.children))
+    return built[id(tree)]
+
+
+def test_equality_hash_repr_and_pickling_decode_no_node(monkeypatch):
+    # A held tree answers ==, hash, repr, pickling and copying from its
+    # masks, as the same tree built by hand from its decoded nodes does.
+    g, built, _ = checks.substitution_graph(300, 5)
+    expected = []
+    for h in _HELD_GRAPHS:
+        hand = _by_hand(decomposition_tree(h))
+        expected.append((hand, hash(hand), repr(hand), pickle.dumps(hand), hand == built))
+
+    def refuse(*args):
+        raise AssertionError("a node was decoded")
+
+    monkeypatch.setattr(decomposition, "_decode", refuse)
+    for h, (hand, hashed, text, pickled, is_built) in zip(_HELD_GRAPHS, expected):
+        tree, twin = decomposition_tree(h), decomposition_tree(h)
+        assert hash(tree) == hashed and repr(tree) == text and pickle.dumps(tree) == pickled
+        assert tree == twin and tree == hand and hand == tree and (tree == built) == is_built == (h == g)
+        for other in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickled)):
+            assert other == tree and repr(other) == text and hash(other) == hashed
+        assert tree._children is None and twin._children is None
+
+
+def test_equality_hash_repr_and_pickling_retain_no_tree():
+    # threshold-1000's tree is a chain 999 nodes deep: read through decoded
+    # node objects, hash, repr and pickling retained 21.3 MB and == 42.6 MB.
+    g = checks.threshold_graph(1000)
+    tree, twin = decomposition_tree(g), decomposition_tree(g)
+    for name, op in (("hash", hash), ("==", twin.__eq__), ("repr", repr), ("pickle", pickle.dumps)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            op(tree)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20, name
+    assert tree._children is None and twin._children is None
+
+
+def test_repr_and_pickle_bytes_do_not_follow_string_hashing():
+    # Each set is written in vertex order, so the bytes of a tree with
+    # string vertices, held or rebuilt from its fields, are the same under
+    # any PYTHONHASHSEED.
+    script = (
+        "import pickle, sys\n"
+        "from transor import Graph, decomposition_tree\n"
+        "from transor.oracle import fixtures, path_graph\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from checks import balanced_cograph\n"
+        "c = balanced_cograph(4)\n"
+        "graphs = [*fixtures().values(), path_graph(12), Graph([f'v{v}' for v in c.vertices], [(f'v{u}', f'v{v}') for u, v in c.edges])]\n"
+        "for g in graphs:\n"
+        "    held = decomposition_tree(g)\n"
+        "    for tree in (held, pickle.loads(pickle.dumps(held))):\n"
+        "        sys.stdout.write(repr(tree) + '\\n' + pickle.dumps(tree).hex() + '\\n')\n"
+    )
+    outputs = set()
+    for seed in ("0", "1"):
+        argv = [sys.executable, "-c", script, os.path.dirname(os.path.abspath(__file__))]
+        proc = subprocess.run(argv, capture_output=True, env=dict(os.environ, PYTHONHASHSEED=seed), check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

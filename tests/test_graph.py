@@ -291,6 +291,24 @@ def test_a_library_object_of_the_wrong_type_is_a_domain_error_that_names_it(call
         call()
 
 
+_NOT_A_PAW_EDGE = Orientation(frozenset([("a", "z"), ("a", "b"), ("a", "c"), ("b", "c")]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda paw: quotient(paw, [(), "a", "bcd"]), r"^empty part in partition$", id="quotient-empty-part"),
+        pytest.param(lambda paw: quotient(paw, ["bc", "bcd", "a"]), r"^parts are not disjoint$", id="quotient-overlap"),
+        pytest.param(lambda paw: Graph([1, "a"]), r"^vertex tokens must share a total order$", id="Graph-no-common-order"),
+        pytest.param(lambda paw: is_transitive(paw, _NOT_A_PAW_EDGE), r"^\('a','z'\) is not an edge of the graph$", id="is_transitive-non-vertex"),
+    ],
+)
+def test_a_faulty_partition_vertex_order_or_pair_is_a_domain_error(call, message):
+    # {b, c} and {b, c, d} are both modules of the paw: only their overlap is at fault.
+    with pytest.raises(DomainError, match=message):
+        call(fixtures()["paw"])
+
+
 def _no_graph_calls() -> dict:
     # Each public function that takes a graph, called with 5 for the graph
     # and fitting values for the rest.

@@ -66,6 +66,17 @@ def test_dimacs_errors():
         parse_dimacs("p edge 3 1\ne 2 2\n")
     with pytest.raises(ParseError):
         parse_dimacs("p edge 3\n")
+    with pytest.raises(ParseError, match="missing 'p edge n m' header"):
+        parse_dimacs("c a comment\n\n")  # parse_graph reads such a text as an edge list
+    for text, message in (
+        ("p edge 2 1\np edge 2 1\ne 1 2\n", "duplicate problem line"),
+        ("p edge 2 1\ne 1\n", "expected 'e u v'"),
+        ("p edge 3 1\ne 1 2 3\n", "expected 'e u v'"),
+        ("p edge 2 1\nx 1 2\n", "unrecognized line"),
+    ):
+        for parse in (parse_dimacs, parse_graph):
+            with pytest.raises(ParseError, match=message):
+                parse(text)
 
 
 def test_parse_graph_dispatch():
@@ -76,3 +87,16 @@ def test_parse_graph_dispatch():
     assert parse_graph("c d\np q\n").graph.edge_count == 2
     assert parse_graph("p q # first edge\nq r\n").graph.edge_count == 2
     assert parse_graph("p edge 2 1\ne 1 2\n").graph.edge_count == 1
+    assert parse_graph("\n  \np edge 3 1\ne 1 3\n").graph.vertices == (1, 2, 3)  # leading blank lines
+    assert parse_graph("\n\t\na b\n").graph.vertices == ("a", "b")
+
+
+def test_parse_graph_of_empty_or_comment_only_text():
+    # No line decides the dialect, so the text is read as an edge list: an
+    # empty one, or one whose comment line is no edge.
+    for text in ("", "\n \n"):
+        parsed = parse_graph(text)
+        assert parsed.graph.vertex_count == 0 and parsed.duplicate_edges == 0
+    for text in ("c\n", "c a comment\n"):
+        with pytest.raises(ParseError, match="expected 'u v' or 'vertex u'"):
+            parse_graph(text)

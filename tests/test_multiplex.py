@@ -91,6 +91,20 @@ def test_extension_examples(fx):
         simplex_extension_exists(paw, spanning, "a", pmap)
 
 
+def test_extension_without_a_map_reads_the_graphs_own_colors(fx):
+    # With no color map given, each answer is the one ``color_classes(g)`` gives.
+    answers = []
+    for g in fx.values():
+        cmap = color_classes(g)
+        for color in cmap.colors:
+            m = color_multiplex(g, cmap, color.id)
+            for a in g.vertices:
+                if a not in m.span:
+                    answers.append(simplex_extension_exists(g, m, a, cmap))
+                    assert simplex_extension_exists(g, m, a) == answers[-1]
+    assert True in answers and False in answers
+
+
 def test_multiplex_json_schema(fx):
     paw = fx["paw"]
     m = multiplex_partition(paw, decomposition_tree(paw))[0]
