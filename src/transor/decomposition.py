@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, compress, islice
+from itertools import combinations
 from operator import eq
 from typing import Callable, Iterable, Iterator
 
@@ -24,8 +24,6 @@ PARALLEL = "parallel"
 SERIES = "series"
 PRIME = "prime"
 
-_BITS = bytes.maketrans(b"01", b"\0\1")  # a mask's binary digits as selectors
-
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class DecompositionNode:
@@ -36,12 +34,13 @@ class DecompositionNode:
     one.  Equality is the tree as printed (vertex sets, kinds, children), so
     trees of two graphs with the same strong modules and kinds compare equal.
     Equality, ``repr`` and pickling (so copying) read the tree's pre-order
-    records (see ``_preorder``), each set's items in vertex order: any depth
-    works, and the text and bytes do not follow set order.  Hashing reads the
-    node's own set and kind.  A node of ``decomposition_tree`` holds its
-    place in the split list instead: its ``vertex_set`` is read off its mask,
-    its ``children`` are decoded from the masks on their first read, and both
-    are then kept; equality, hashing, ``repr`` and pickling decode no node.
+    records (see ``_preorder``), with each set in vertex order: any depth
+    works, and no text or byte follows set order.  Two trees not from
+    ``decomposition_tree`` compare their sets as sets, and a set of tokens
+    with no common order is listed in set order.  A node of that tree holds
+    its place in the split list instead: its ``vertex_set`` is read off its
+    mask and its ``children`` decoded on their first read, both then kept,
+    and equality, hashing, ``repr`` and pickling decode no node.
     """
 
     __slots__ = ("_vertex_set", "kind", "_children", "_held", "_source")
@@ -73,8 +72,14 @@ class DecompositionNode:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DecompositionNode):
             return NotImplemented
-        # Record by record: a walk ends where its child counts say, so equal
-        # records up to the end of one tree are the end of the other.
+        # Node by node in pre-order: a walk ends where its child counts say,
+        # so equal nodes up to the end of one tree are the end of the other.
+        # Two trees not held compare their sets as sets, with no sort.
+        if self._held is None and other._held is None:
+            return all(
+                (a.vertex_set, a.kind, len(a.children)) == (b.vertex_set, b.kind, len(b.children))
+                for a, b in zip(self.walk(), other.walk())
+            )
         return self is other or all(map(eq, _preorder(self), _preorder(other)))
 
     def __hash__(self) -> int:
@@ -126,9 +131,8 @@ class DecompositionNode:
 
 
 def _rebuild(records: list) -> DecompositionNode:
-    # The tree whose pre-order records ``DecompositionNode.__reduce__`` took:
-    # in reverse pre-order each node's children are built before it, the
-    # first on top.
+    # The tree of ``DecompositionNode.__reduce__``'s records: in reverse
+    # pre-order each node's children are built before it, the first on top.
     stack: list = []
     for names, kind, k in reversed(records):
         stack.append(DecompositionNode(frozenset(names), kind, tuple(stack.pop() for _ in range(k))))
@@ -164,17 +168,19 @@ def _decode(run: _Run, i: int) -> tuple:
 
 def _preorder(node: DecompositionNode, name: Callable | None = None) -> Iterator[tuple[list, str, int]]:
     # The one reader of a tree's content.  Per node in pre-order: its
-    # vertices in vertex order (each passed through ``name``, if given), its
-    # kind and its number of children.  A held node's subtree is read off
-    # the masks: it is the run of the split list from its position on, and
-    # a node's vertices cost one step each, or one pass over its span when
-    # they fill an eighth of it or more.  A node built by hand, copied
-    # or unpickled is read off its fields.
+    # vertices in vertex order (through ``name``, if given), its kind and
+    # its number of children.  A held node's subtree is read off the masks,
+    # the run of the split list from its position on, at one step per
+    # vertex; any other node off its fields, its set in set order if its
+    # tokens share no order.
     stack = [node]
     while stack:
         node = stack.pop()
         if node._held is None:
-            names = sorted(node.vertex_set)
+            try:
+                names = sorted(node.vertex_set)
+            except TypeError:
+                names = list(node.vertex_set)
             yield names if name is None else list(map(name, names)), node.kind, len(node.children)
             stack.extend(reversed(node.children))
             continue
@@ -186,12 +192,7 @@ def _preorder(node: DecompositionNode, name: Callable | None = None) -> Iterator
             if p & (p - 1):  # the next internal node in pre-order is p
                 _, kind, parts = splits[i]
                 i += 1
-                low = (p & -p).bit_length() - 1
-                if 8 * p.bit_count() < p.bit_length() - low:  # sparse: one step per vertex
-                    names = list(map(table.__getitem__, _bits(p)))
-                else:  # dense: its span's bits as bytes, one pass in C
-                    names = list(compress(islice(table, low, None), f"{p >> low:b}"[::-1].encode().translate(_BITS)))
-                yield names, kind, len(parts)
+                yield list(map(table.__getitem__, _bits(p))), kind, len(parts)
                 masks += reversed(parts)
             else:
                 yield [table[p.bit_length() - 1]], LEAF, 0

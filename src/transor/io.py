@@ -105,7 +105,8 @@ def parse_graph(text: str) -> ParsedGraph:
 
     The first line that is neither blank nor a 'c' comment decides: it is a
     DIMACS header when its first token is "p" and it does not hold exactly
-    two tokens before any '#', since "p q" is an edge from vertex p.
+    two tokens before any '#', since "p q" is an edge from vertex p.  A text
+    of 'c' lines and blank ones alone is DIMACS, so it lacks its header.
     """
     for raw in text.splitlines():
         line = raw.strip()
@@ -116,4 +117,4 @@ def parse_graph(text: str) -> ParsedGraph:
             return parse_dimacs(text)
         if not line.startswith("c ") and line != "c":
             return parse_edge_list(text)
-    return parse_edge_list(text)
+    return parse_dimacs(text) if text.strip() else parse_edge_list(text)

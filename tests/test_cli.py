@@ -450,7 +450,8 @@ def test_parse_errors_exit_64(write, capsys):
         "p edge 2 1\ne 1\n",  # an edge line of two tokens
         "p edge 3 1\ne 1 2 3\n",  # an edge line of four tokens
         "p edge 2 1\nx 1 2\n",  # an unrecognized line
-        "c a comment\n",  # comment-only: read as an edge list, whose line has three tokens
+        "c note\n",  # only 'c' lines: DIMACS comments with no header
+        "c a comment\n",
         "c\n",
         "",  # no vertices
         "\n  \n",

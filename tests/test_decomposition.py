@@ -554,9 +554,11 @@ def test_equality_hash_repr_and_pickling_decode_no_node(monkeypatch):
 
 
 def test_equality_hash_repr_and_pickling_retain_no_tree():
-    # threshold-1000's tree is a chain 999 nodes deep: read through decoded
-    # node objects, hash, repr and pickling retained 21.3 MB and == 42.6 MB.
-    g = checks.threshold_graph(1000)
+    # threshold-400's tree is a chain 399 nodes deep: read through decoded
+    # node objects, hash, repr and pickling retained 3.9 MB and == 7.8 MB
+    # (at n = 1000, 21.3 and 42.6 MB).  tracemalloc traces each of the
+    # walk's ~n^2/2 mask steps, so a larger n costs seconds.
+    g = checks.threshold_graph(400)
     tree, twin = decomposition_tree(g), decomposition_tree(g)
     for name, op in (("hash", hash), ("==", twin.__eq__), ("repr", repr), ("pickle", pickle.dumps)):
         tracemalloc.start()
@@ -593,3 +595,16 @@ def test_repr_and_pickle_bytes_do_not_follow_string_hashing():
         proc = subprocess.run(argv, capture_output=True, env=dict(os.environ, PYTHONHASHSEED=seed), check=True)
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+def test_a_tree_of_tokens_with_no_common_order_prints_pickles_and_compares():
+    # Such a tree is only built by hand: its sets are listed in set order,
+    # and two such trees compare their sets as sets.
+    def tree(order):
+        leaves = tuple(DecompositionNode(frozenset((v,)), LEAF, ()) for v in (1, "a"))
+        return DecompositionNode(frozenset(order), PARALLEL, leaves)
+
+    one, two = tree((1, "a")), tree(("a", 1))
+    assert one == two and hash(one) == hash(two) and one != tree((1, "a", 2))
+    assert repr(one).startswith("DecompositionNode(vertex_set=frozenset({") and "kind='parallel'" in repr(one)
+    assert pickle.loads(pickle.dumps(one)) == one == copy.deepcopy(two)

@@ -67,7 +67,7 @@ def test_dimacs_errors():
     with pytest.raises(ParseError):
         parse_dimacs("p edge 3\n")
     with pytest.raises(ParseError, match="missing 'p edge n m' header"):
-        parse_dimacs("c a comment\n\n")  # parse_graph reads such a text as an edge list
+        parse_dimacs("c a comment\n\n")
     for text, message in (
         ("p edge 2 1\np edge 2 1\ne 1 2\n", "duplicate problem line"),
         ("p edge 2 1\ne 1\n", "expected 'e u v'"),
@@ -92,11 +92,11 @@ def test_parse_graph_dispatch():
 
 
 def test_parse_graph_of_empty_or_comment_only_text():
-    # No line decides the dialect, so the text is read as an edge list: an
-    # empty one, or one whose comment line is no edge.
+    # No line decides the dialect: a blank text is an empty edge list, and
+    # one of 'c' lines is DIMACS comments with no header, not edges from c.
     for text in ("", "\n \n"):
         parsed = parse_graph(text)
         assert parsed.graph.vertex_count == 0 and parsed.duplicate_edges == 0
-    for text in ("c\n", "c a comment\n"):
-        with pytest.raises(ParseError, match="expected 'u v' or 'vertex u'"):
+    for text in ("c\n", "c note\n", "c a comment\n", "\nc d\nc e\n"):
+        with pytest.raises(ParseError, match="missing 'p edge n m' header"):
             parse_graph(text)
