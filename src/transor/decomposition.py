@@ -278,7 +278,7 @@ def _prime_parts(masks: list[int], x: int, shuffle: random.Random | None) -> lis
     if shuffle is None:
         vb = x & -x
     else:
-        vb = 1 << shuffle.choice([u for u in range(x.bit_length()) if x >> u & 1])
+        vb = 1 << shuffle.choice(_bits(x))
     parts = [x ^ vb]  # by id
     owner = [0] * x.bit_length()
     tasks = [(vb, x ^ vb)]  # each vertex of the first mask splits the parts inside the second

@@ -454,13 +454,6 @@ def _triangles(g: Graph) -> Iterator[tuple]:
     masks = g.adjacency_masks()
     for i, m in enumerate(masks):
         later = m >> (i + 1) << (i + 1)
-        rest = later
-        while rest:
-            bj = rest & -rest
-            rest ^= bj
-            j = bj.bit_length() - 1
-            common = later & masks[j] >> (j + 1) << (j + 1)
-            while common:
-                bl = common & -common
-                common ^= bl
-                yield vs[i], vs[j], vs[bl.bit_length() - 1]
+        for j in _bits(later):
+            for l in _bits(later & masks[j] >> (j + 1) << (j + 1)):
+                yield vs[i], vs[j], vs[l]

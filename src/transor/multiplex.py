@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import mul
 
 from .decomposition import PARALLEL, SERIES, DecompositionNode, _blocks, _splits_of, is_strong_module
 from .errors import DomainError, InvariantError
@@ -101,10 +102,7 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
             colors = frozenset([ids[low[i] * n + low[j]] for i, j in (blocks if kind == SERIES else blocks[:1])])
             # The children are strong modules, so these are all the node's
             # colors (Gallai 1967), and their sizes add up to its edges.
-            size = 0
-            for c in colors:
-                size += _size(color_blocks[c]) >> (c in loops)
-            if size != len(codes):
+            if sum(_size(color_blocks[c]) >> (c in loops) for c in colors) != len(codes):
                 raise InvariantError("the colors of a node's blocks do not add up to its edges")
         else:  # ``_blocks`` lists them by tail, then head: in code order
             span = frozenset(map(vs.__getitem__, low))
@@ -120,10 +118,7 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
 def _size(blocks) -> int:
     # The number of directed edges in a color's flat mask blocks (see
     # ``forcing._Colors``): a self-inverse half holds both directions.
-    size = 0
-    for i in range(0, len(blocks), 2):
-        size += blocks[i].bit_count() * blocks[i + 1].bit_count()
-    return size
+    return sum(map(mul, map(int.bit_count, blocks[::2]), map(int.bit_count, blocks[1::2])))
 
 
 def _table_of(cmap: ColorMap) -> _Colors:

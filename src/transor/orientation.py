@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, compress, islice, permutations, repeat
 from math import factorial, prod
-from operator import itemgetter, or_
+from operator import itemgetter, mul, or_
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .decomposition import PARALLEL, PRIME, SERIES, _blocks, _check_shuffle, _color_split, _upper
@@ -140,55 +140,54 @@ _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 class _LiftPlan:
     """The 2|E| directed edges laid out once per tree, for lifting choices.
 
-    Built from ``_analyze``'s nodes in their pre-order: each arc (i, j)
-    takes a forward run of slots (child i to child j) and then a reverse
-    run; a slot is the code ``t * n + h`` of an edge between vertex indices.
-    A series node's arcs, every pair i < j in ``_blocks``' order, are listed
-    here and in ``_verified_selector`` alone, which handle O(|E|) slots.
-    An orientation is a byte selector over ``slots``, one piece per node in
-    the same order: a series node gives, per arc, the bytes that select the
-    run its permutation picks; a prime node gives one of two byte strings
-    for its whole range, the forward runs (its canonical half) or the
-    reverse runs.  The slot order follows the tree, not the sorted order of
-    the output, which ``_output_tables`` gives.  Set once, never changed."""
+    Per series and prime node of ``_analyze``, in pre-order, its multiplex
+    (the edges between its children) as two halves: the forward half lists
+    each arc's edges, child i to child j, arc by arc (at a series node every
+    pair i < j, in ``_blocks``' order), and the reverse half the same edges
+    head first.  A slot is the code ``t * n + h`` of an edge between vertex
+    indices.  An orientation is a byte selector over ``slots``, one piece per
+    node: ones-then-zeros or its flip at a prime node or a series node of two
+    children, else the ``_series_piece`` of a child order.  The slot order
+    follows the tree, not the output's sorted order (``_output_tables``).
+    Set once, never changed."""
 
     __slots__ = ("entries", "slots")
 
     def __init__(self, g: Graph, nodes: list):
-        # entries: (kind, child count, pieces) per node.  A series node keeps
-        # (i, j, run) per arc, where run[False] selects the arc's forward run
-        # and run[True] its reverse run; a prime node keeps its canonical
-        # and its reverse selector.
+        # entries: (c, pieces) per node.  A node of two choices, a prime node
+        # or a series node of two children, keeps its two pieces, and c = 0.
+        # A series node of c > 2 children keeps its arcs and, when a child
+        # has more than one vertex, each arc's runs of zeros and of ones.
         self.entries: list[tuple] = []
         self.slots: list[int] = []
         lay, n = self.slots.extend, g.vertex_count
-        runs: dict[int, tuple[bytes, bytes]] = {}  # block size -> its two run selectors
         for kind, parts, arcs in nodes:
-            members = list(map(_bits, parts))
-            pieces = []
-            for i, j in _arcs(kind, parts, arcs):
-                lay([t * n + h for t in members[i] for h in members[j]])
-                lay([h * n + t for h in members[j] for t in members[i]])
-                size = len(members[i]) * len(members[j])
-                run = runs.get(size) or runs.setdefault(size, (b"\1" * size + b"\0" * size, b"\0" * size + b"\1" * size))
-                pieces.append((i, j, run))
-            if kind == PRIME:
-                canonical = b"".join([run[False] for _, _, run in pieces])
-                pieces = (canonical, canonical.translate(_FLIP))
-            self.entries.append((kind, len(members), pieces))
+            if kind == SERIES:
+                arcs = list(combinations(range(len(parts)), 2))
+            members = [_bits(p) if p & (p - 1) else [p.bit_length() - 1] for p in parts]
+            forward = [t * n + h for i, j in arcs for t in members[i] for h in members[j]]
+            lay(forward)
+            lay([c % n * n + c // n for c in forward])  # the same edges, head first
+            if kind == PRIME or len(parts) == 2:
+                canonical = b"\1" * len(forward) + b"\0" * len(forward)
+                self.entries.append((0, (canonical, canonical.translate(_FLIP))))
+            else:
+                runs = None if len(forward) == len(arcs) else [(b"\0" * (r := len(members[i]) * len(members[j])), b"\1" * r) for i, j in arcs]
+                self.entries.append((len(parts), (arcs, runs)))
 
 
-def _arcs(kind: str, parts: list[int], arcs: list | None) -> Iterable[tuple[int, int]]:
-    # A node's arcs from ``_analyze``: at a series node, which keeps none,
-    # every pair i < j in the order ``_blocks`` lists them.
-    return combinations(range(len(parts)), 2) if kind == SERIES else arcs
-
-
-def _series_piece(blocks: list, perm: Sequence[int]) -> bytes:
-    # A series node's selector piece for one child order: each block's
-    # forward run when child i comes before child j, else its reverse run.
+def _series_piece(pieces: tuple, perm: Sequence[int]) -> bytes:
+    # A series node's selector piece for one child order: its forward half,
+    # ones on each arc whose child i comes before child j and zeros on the
+    # rest (one byte per arc, or the arc's run from ``runs``), then that
+    # half flipped.
+    arcs, runs = pieces
     pos = sorted(range(len(perm)), key=perm.__getitem__)  # child -> its place
-    return b"".join([run[pos[i] > pos[j]] for i, j, run in blocks])
+    if runs is None:
+        half = bytes([pos[i] < pos[j] for i, j in arcs])
+    else:
+        half = b"".join([run[pos[i] < pos[j]] for (i, j), run in zip(arcs, runs)])
+    return half + half.translate(_FLIP)
 
 
 def _analyze(g: Graph, shuffle: random.Random | None = None) -> list[tuple] | None:
@@ -326,9 +325,9 @@ def orientation_at(g: Graph, k: int) -> Orientation:
         raise DomainError(f"rank {k} is outside 0..{count - 1}")
     plan = _LiftPlan(g, nodes)
     parts = []  # one selector piece per node, the last node's first
-    for (kind, c, pieces), radix in zip(reversed(plan.entries), reversed(radices)):
+    for (c, pieces), radix in zip(reversed(plan.entries), reversed(radices)):
         k, digit = divmod(k, radix)
-        if kind != SERIES:
+        if not c:
             parts.append(pieces[digit])
             continue
         pool = list(range(c))  # the child order of rank ``digit``, by its factorial-base digits
@@ -348,22 +347,24 @@ def _decode(vertices: tuple, slots: list[int], sel: bytes) -> frozenset:
 
 def _verified_selector(nodes: list) -> bytes:
     # The selector of the orientation ``_verify`` proved, over the slot
-    # layout of ``_LiftPlan``: each arc's forward run and not its reverse,
-    # a series node's arcs listed as ``_LiftPlan`` lists them.
-    runs: dict[int, bytes] = {}  # block size -> its forward run
-    sizes = [parts[i].bit_count() * parts[j].bit_count() for kind, parts, arcs in nodes for i, j in _arcs(kind, parts, arcs)]
-    return b"".join([runs.get(n) or runs.setdefault(n, b"\1" * n + b"\0" * n) for n in sizes])
+    # layout of ``_LiftPlan``: each node's forward half and not its reverse.
+    # A half's length is read off the node, not the plan: a series node
+    # joins every two of its children, a prime node the pairs of its arcs.
+    pieces = []
+    for kind, parts, arcs in nodes:
+        size = list(map(int.bit_count, parts))
+        half = (sum(size) ** 2 - sum(map(mul, size, size))) // 2 if kind == SERIES else sum(size[i] * size[j] for i, j in arcs)
+        pieces.append(b"\1" * half + b"\0" * half)
+    return b"".join(pieces)
 
 
 def _selectors(plan: _LiftPlan) -> Iterator[bytes]:
     # Odometer over the per-node selector pieces: the first node is the most
     # significant digit, and an exhausted digit restarts its pieces.  A
-    # series node's piece is joined once per permutation, in lexicographic
-    # order; a prime node's two pieces are the plan's.
-    def options(kind, k, pieces) -> Iterator[bytes]:
-        if kind == SERIES:
-            return (_series_piece(pieces, perm) for perm in permutations(range(k)))
-        return iter(pieces)
+    # series node of k > 2 children builds its piece once per permutation,
+    # in lexicographic order; a node of two choices has the plan's two.
+    def options(k, pieces) -> Iterator[bytes]:
+        return (_series_piece(pieces, perm) for perm in permutations(range(k))) if k else iter(pieces)
 
     space = plan.entries
     digits = [options(*node) for node in space]

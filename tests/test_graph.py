@@ -32,6 +32,7 @@ from transor import (
 )
 import transor
 from transor import oracle
+from transor.graph import _bits
 from transor.oracle import cycle_graph, complete_graph, fixtures, random_graph
 
 import checks
@@ -112,6 +113,21 @@ def test_edge_order_and_duplicates_do_not_change_the_graph():
         assert g.adjacency_masks() == base.adjacency_masks()
         assert g.sorted_edges() == sorted(canonical)
         assert g.edges == canonical and g.edge_count == len(canonical)
+
+
+def test_bits_lists_a_mask_as_one_step_per_bit_does():
+    # _bits walks a sparse mask bit by bit and reads a dense one off its
+    # binary digits; either way it must list the set bits in ascending order.
+    def stepwise(x):
+        return [i for i in range(x.bit_length()) if x >> i & 1]
+
+    draw = random.Random(7)
+    assert _bits(0) == []
+    for width in (1, 2, 3, 7, 16, 24, 63, 64, 65, 200, 1000, 4097, 40000):
+        for count in sorted({1, 2, 9, 12, width // 64, width // 10, width // 8, width // 2, width - 1, width}):
+            if 1 <= count <= width:
+                x = sum(1 << i for i in draw.sample(range(width - 1), count - 1)) | 1 << width - 1
+                assert _bits(x) == stepwise(x), (width, count)
 
 
 def test_graph_state_is_built_once():

@@ -7,7 +7,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, islice, permutations
 from math import factorial
 from typing import Iterator
 
@@ -248,6 +248,21 @@ def test_a_first_selector_off_the_verified_arcs_is_an_invariant_error(fx, monkey
     flip = bytes.maketrans(b"\0\1", b"\1\0")
     monkeypatch.setattr(orientation, "_selectors", lambda plan: (s.translate(flip) for s in selectors(plan)))
     for g in (fx["p4"], fx["paw"], complete_graph(4)):
+        with pytest.raises(InvariantError, match="first selector"):
+            next(enumerate_orientations(g))
+
+
+def test_a_series_piece_off_the_identity_order_is_an_invariant_error(monkeypatch):
+    # The first selector is checked against halves whose lengths are read off
+    # the analysed nodes, not off the plan: a piece of a series node of more
+    # than two children that reverses one arc of the identity order
+    # (children 0 and 1 swapped) is refused.
+    piece = orientation._series_piece
+    monkeypatch.setattr(orientation, "_series_piece", lambda pieces, perm: piece(pieces, [perm[1], perm[0], *perm[2:]]))
+    mixed = checks.substitution_graph(40, 3)[0]
+    kinds = {kind for kind, _, _ in orientation._analyze(mixed)}
+    assert kinds == {SERIES, PRIME}
+    for g in (complete_graph(4), mixed):
         with pytest.raises(InvariantError, match="first selector"):
             next(enumerate_orientations(g))
 
@@ -638,17 +653,20 @@ def _lifted(g: Graph, limit: int | None) -> Iterator[frozenset]:
     # order, each crossing edge directed from the child placed earlier to
     # the later one; a prime node's crossing edges as the forward half of
     # their color, then reversed.
+    # The choices are drawn lazily: a series node of 12 children has 12!.
     cmap = color_classes(g)
-    nodes, pools = [], []
-    for _, node in decomposition_tree(g).walk_with_paths():
-        if node.kind == SERIES:
-            pools.append(list(permutations(range(len(node.children)))))
-        elif node.kind == PRIME:
-            pools.append([False, True])
-        else:
-            continue
-        nodes.append(node)
-    for choices in islice(product(*pools), limit):
+    nodes = [node for _, node in decomposition_tree(g).walk_with_paths() if node.kind in (SERIES, PRIME)]
+
+    def drawn(nodes: list) -> Iterator[tuple]:
+        if not nodes:
+            yield ()
+            return
+        head, *rest = nodes
+        for choice in permutations(range(len(head.children))) if head.kind == SERIES else (False, True):
+            for others in drawn(rest):
+                yield (choice, *others)
+
+    for choices in islice(drawn(nodes), limit):
         directed = set()
         for node, choice in zip(nodes, choices):
             if node.kind == SERIES:
@@ -701,6 +719,8 @@ def test_streamed_pairs_match_sorting_past_oracle_scale(n):
         checks.threshold_graph(n),
         checks.balanced_cograph(n.bit_length() - 1),  # 16, 32 and 64 vertices
     ]
+    if n == 120:  # prime nodes with module children and nested primes; one series node of 12 leaves
+        graphs += [checks.substitution_graph(300, 5)[0], complete_graph(12)]
     for g in graphs:
         assert _stream_matches_the_lifter(g, 40, n) == min(40, count_orientations(g))
 
