@@ -32,8 +32,8 @@ class _Colors(NamedTuple):
     # series color is one pair of children, a prime color one pair
     # (1 << t, heads) per knotting-graph node of its forward half);
     # ``loops`` holds the self-inverse ids, and ``ids`` maps the code
-    # lo * n + hi of each series color's smallest edge and of each edge
-    # inside a topmost prime node to its color.
+    # lo * n + hi of at least each color's smallest edge to its color (a
+    # map of ``color_classes`` keys that edge alone: one entry per color).
     vertices: tuple
     blocks: list
     loops: frozenset
@@ -311,7 +311,6 @@ def _color_table(g: Graph, splits: list) -> _Colors:
     masks = g.adjacency_masks()
     n = len(masks)
     found = {}  # per color: the code t * n + h of its smallest edge (t, h) -> its blocks
-    inner = []  # per color of a prime node: that code, and the codes of its edges
     loops = []  # the codes of the self-inverse colors' smallest edges
     labelled = 0  # the topmost prime node labelled last
     for x, kind, parts in splits:
@@ -319,47 +318,38 @@ def _color_table(g: Graph, splits: list) -> _Colors:
             continue
         if kind == PRIME:
             labelled = x
-            _prime_colors(masks, x, found, inner, loops)
+            _prime_colors(masks, x, found, loops)
         elif kind == SERIES:
             low = [(p & -p).bit_length() - 1 for p in parts]
             found.update({a * n + b: (p, q) for (a, p), (b, q) in combinations(zip(low, parts), 2)})
     codes = sorted(found)  # by smallest edge: no two colors share one
     ids = dict(zip(codes, range(len(codes))))
-    for code, edges in inner:
-        ids.update(dict.fromkeys(edges, ids[code]))
     return _Colors(g.vertices, list(map(found.__getitem__, codes)), frozenset(map(ids.__getitem__, loops)), ids)
 
 
-def _prime_colors(masks: list[int], x: int, found: dict, inner: list, loops: list) -> None:
+def _prime_colors(masks: list[int], x: int, found: dict, loops: list) -> None:
     # ``_color_table``'s entries for the colors of G[x].  Tails come in
     # index order and a tail's nodes (see ``_edge_classes``) by their lowest
     # vertex, so a color is met first at its smallest edge (t, h), and the
     # class of that node is its forward half: a block (1 << t, heads) per
-    # node in it.  A reverse node's edges join only the color's codes.
+    # node in it.  A node of a reverse half adds nothing.
     group, root, inverse, held, starts = _edge_classes(masks, x)
     n = len(masks)
-    colors: dict = {}  # class -> its color's blocks (None for a reverse half) and codes
+    colors: dict = {}  # class -> its color's blocks, None for a reverse half
     for (t, of), first, last in zip(group.items(), starts, starts[1:] + [len(held)]):
-        base = t * n
         for k in range(first, last):
             hs, c = held[k], root[2 * k]
-            entry = colors.get(c)
-            if entry is None:  # a new color, whose forward half is c
-                code = base + next(iter(hs))
-                entry = [], []
-                found[code] = entry[0]
-                inner.append((code, entry[1]))
+            if c not in colors:  # a new color, whose forward half is c
+                code = t * n + next(iter(hs))
                 if inverse[c] == c:
                     loops.append(code)
-                colors[inverse[c]] = None, entry[1]
-                colors[c] = entry  # after the reverse: a self-inverse class keeps its blocks
-            blocks, codes = entry
-            heads = 0
-            for h in hs:
-                heads |= 1 << h
-                if h > t:
-                    codes.append(base + h)
+                colors[inverse[c]] = None
+                colors[c] = found[code] = []  # after the reverse: a self-inverse class keeps its blocks
+            blocks = colors[c]
             if blocks is not None:
+                heads = 0
+                for h in hs:
+                    heads |= 1 << h
                 blocks += 1 << t, heads
 
 

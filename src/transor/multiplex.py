@@ -65,14 +65,16 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
     Every edge is charged to the unique node whose children separate its
     endpoints.  Parallel nodes can receive nothing (their children are
     disconnected from each other), so only series and prime nodes appear.
-    A joined child block of a series node is one color, and so are all the
-    blocks of a prime node (Gallai 1967), so each such color is read once,
-    at its representatives' edge, and its size off its mask blocks; a node
-    whose children are all single vertices reads each edge, one block
-    apiece.  No color is decoded.  The node masks, and with no ``cmap`` the
-    colors, are read off the split list ``tree`` holds: no scan, cover
-    walk or prime split runs again.  ``DomainError`` unless
-    ``tree`` is the tree ``decomposition_tree`` returned for g or for a
+    A joined child block of a series node is one color, read once at its
+    representatives' edge.  The crossing edges of a prime node are one
+    color (Gallai 1967), so the node's smallest crossing edge is the
+    color's smallest edge, which the color index keys: one read per node.
+    The sizes of a node's colors, off their mask blocks, must add up to its
+    edges; a series node of single vertices, whose every block is its own
+    one-edge color, skips that sum.  No color is decoded.  The node masks,
+    and with no ``cmap`` the colors, are read off the split list ``tree``
+    holds: no scan, cover walk or prime split runs again.  ``DomainError``
+    unless ``tree`` is the tree ``decomposition_tree`` returned for g or for a
     graph equal to it, and when ``cmap`` is the color map of another graph.
     """
     _check_graph(g)
@@ -95,19 +97,22 @@ def multiplex_partition(g: Graph, tree: DecompositionNode, cmap: ColorMap | None
             continue
         blocks = _blocks(masks, kind, parts)
         low = [(p & -p).bit_length() - 1 for p in parts]
-        if x.bit_count() > len(parts):  # some block has several edges
+        several = x.bit_count() > len(parts)  # some block has several edges
+        if several:
             members = list(map(_bits, parts))
             span = frozenset(map(vs.__getitem__, chain.from_iterable(members)))
             codes = sorted([u * n + v if u < v else v * n + u for i, j in blocks for u in members[i] for v in members[j]])
-            colors = frozenset([ids[low[i] * n + low[j]] for i, j in (blocks if kind == SERIES else blocks[:1])])
-            # The children are strong modules, so these are all the node's
-            # colors (Gallai 1967), and their sizes add up to its edges.
-            if sum(_size(color_blocks[c]) >> (c in loops) for c in colors) != len(codes):
-                raise InvariantError("the colors of a node's blocks do not add up to its edges")
         else:  # ``_blocks`` lists them by tail, then head: in code order
             span = frozenset(map(vs.__getitem__, low))
             codes = [low[i] * n + low[j] for i, j in blocks]
-            colors = frozenset(map(ids.__getitem__, codes))
+        if kind == SERIES:
+            colors = frozenset([ids[low[i] * n + low[j]] for i, j in blocks])
+        else:  # one color, met first at the node's smallest crossing edge
+            colors = frozenset([ids[codes[0]]])
+        # The children are strong modules, so these are all the node's
+        # colors (Gallai 1967), and their sizes add up to its edges.
+        if (several or kind != SERIES) and sum(_size(color_blocks[c]) >> (c in loops) for c in colors) != len(codes):
+            raise InvariantError("the colors of a node's blocks do not add up to its edges")
         edges = frozenset([(vs[c // n], vs[c % n]) for c in codes])
         m = Multiplex(span, colors, edges, len(parts) - 1 if kind == SERIES else 1, path)
         m.__dict__["_run"] = names, n, codes  # no field: see ``Multiplex``
@@ -123,7 +128,8 @@ def _size(blocks) -> int:
 
 def _table_of(cmap: ColorMap) -> _Colors:
     # The mask blocks and code index of a map, which one of ``color_classes``
-    # holds; a map built by hand is converted once, each forward edge a block.
+    # holds; a map built by hand is converted once, each forward edge a block
+    # and every edge an index entry: more keys, answering the same reads.
     if cmap._table is None:
         g = cmap.graph
         index, n = g.index, g.vertex_count

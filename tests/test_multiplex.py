@@ -20,7 +20,7 @@ from transor import (
 )
 from transor import decomposition, forcing, multiplex
 from transor.decomposition import LEAF, PARALLEL, PRIME, SERIES, DecompositionNode
-from transor.oracle import acceptance_corpus, complete_graph, fixtures
+from transor.oracle import acceptance_corpus, complete_graph, fixtures, random_graph
 
 import checks
 
@@ -255,12 +255,53 @@ def test_node_paths_follow_the_tree_pre_order():
 
 
 def test_colors_that_do_not_add_up_to_a_nodes_edges_are_an_invariant_error(fx, monkeypatch):
-    # The paw's root joins {a} to {b, c, d}: one color of three edges.
-    paw = fx["paw"]
-    tree, cmap = decomposition_tree(paw), color_classes(paw)
+    # The paw's root joins {a} to {b, c, d}: one color of three edges.  P4
+    # and C5 are one prime node of single vertices, whose one color (C5's
+    # self-inverse) is checked against the node's edges as well.
     monkeypatch.setattr(multiplex, "_size", lambda color: 0)
-    with pytest.raises(InvariantError, match="the colors of a node's blocks do not add up to its edges"):
-        multiplex_partition(paw, tree, cmap)
+    for g in (fx["paw"], fx["p4"], fx["c5"]):
+        tree = decomposition_tree(g)
+        for cmap in (color_classes(g), None):
+            with pytest.raises(InvariantError, match="the colors of a node's blocks do not add up to its edges"):
+                multiplex_partition(g, tree, cmap)
+
+
+@pytest.fixture(scope="module")
+def past_oracle_scale():
+    # Nested prime nodes (with a self-inverse color three prime levels down
+    # in the C5 substitution), sparse and dense random graphs, posets and a
+    # tree: one sparse prime node over parallel nodes of leaves.
+    graphs = [checks.substitution_graph(300, 5)[0]] + [checks.substitution_graph(2000, 3, c5)[0] for c5 in (False, True)]
+    graphs += [random_graph(n, Fraction(1, 10), n) for n in (40, 80, 120, 160, 200)]
+    graphs += [checks.random_poset_graph(n, Fraction(1, n // 10), 1) for n in (100, 200, 300)]
+    graphs += [checks.random_poset_graph(400, Fraction(1, 40), 2), checks.random_tree(2000)]
+    return graphs
+
+
+def test_each_multiplex_holds_the_colors_of_its_edges_past_oracle_scale(past_oracle_scale):
+    # A prime node's color is read at its smallest crossing edge alone:
+    # checked here against every edge's color in a decoded map, with no map,
+    # the library's map and one rebuilt by hand (whose index holds every edge).
+    for g in past_oracle_scale:
+        tree, cmap = decomposition_tree(g), color_classes(g)
+        colors = tuple(forcing.ColorClass(c.id, c.forward) for c in cmap.colors)
+        plain = forcing.ColorMap(g, colors, dict(cmap.edge_to_color))
+        for other in (None, color_classes(g), plain):
+            parts = multiplex_partition(g, tree, other)
+            assert sum(len(m.edges) for m in parts) == g.edge_count
+            for m in parts:
+                assert m.colors == {cmap.color_of(u, v) for u, v in m.edges}
+
+
+def test_the_color_index_holds_one_entry_per_color(past_oracle_scale):
+    # The map of ``color_classes``, and the table ``multiplex_partition``
+    # builds with no map (off the tree's full split list), key each color by
+    # its smallest edge alone.
+    for g in past_oracle_scale:
+        cmap = color_classes(g)
+        assert len(cmap._table.ids) == len(cmap.colors)
+        splits = decomposition._splits_of(g, decomposition_tree(g))
+        assert len(multiplex._color_table(g, splits).ids) == len(cmap.colors)
 
 
 _LAZY_GRAPHS = [
